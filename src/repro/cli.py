@@ -21,6 +21,7 @@ from .frontend.mfile import DirectoryProvider, MFileProvider
 from .frontend.parser import parse_script
 from .interp.costmodel import CostMeter
 from .interp.interpreter import Interpreter
+from .mpi.executor import BACKENDS
 from .mpi.machine import MACHINES, get_machine
 
 
@@ -207,6 +208,9 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{result.elapsed * 1e3:.3f} ms modeled "
               f"({result.spmd.collectives} collectives, "
               f"{result.spmd.messages_sent} messages)", file=sys.stderr)
+        if result.spmd.fallback is not None:
+            print(f"[backend] fused → lockstep: "
+                  f"{result.spmd.fallback}", file=sys.stderr)
         if result.native is not None:
             n = result.native
             print(f"[native] {n['native_calls']} native calls, "
@@ -352,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--scheme", choices=["block", "cyclic"],
                     default="block", help="data distribution")
     pr.add_argument("--backend",
-                    choices=["lockstep", "threads", "fused"],
+                    choices=list(BACKENDS),
                     default=None,
-                    help="SPMD execution backend (default: lockstep, or "
+                    help="SPMD execution backend (default: fused, or "
                          "$REPRO_SPMD_BACKEND); 'fused' executes all "
-                         "ranks in one pass (falls back to lockstep on "
-                         "rank-dependent programs); 'threads' is the "
-                         "free-running backend kept for differential "
-                         "testing")
+                         "ranks in one pass and falls back to lockstep "
+                         "on rank-dependent programs and fault plans "
+                         "(--time reports why); 'lockstep' runs one "
+                         "scheduled thread per rank")
     pr.add_argument("--no-peephole", action="store_true")
     pr.add_argument("--cache-gathers", action="store_true",
                     help="replicate-on-first-use gather caching")

@@ -70,6 +70,13 @@ class RunResult:
         return self.spmd.recovery
 
     @property
+    def fallback(self):
+        """The :class:`~repro.mpi.executor.FusedFallback` (reason and
+        MATLAB source line) when the fused run re-ran under lockstep,
+        else ``None``."""
+        return self.spmd.fallback
+
+    @property
     def nprocs(self) -> int:
         return self.spmd.nprocs
 
@@ -170,10 +177,11 @@ class CompiledProgram:
             stores=None) -> RunResult:
         """Execute on ``nprocs`` simulated ranks of ``machine``.
 
-        ``backend`` picks the SPMD execution backend (``"lockstep"``,
-        ``"threads"``, or ``"fused"``); ``None`` defers to
-        ``REPRO_SPMD_BACKEND`` / the lockstep default — see
-        :func:`repro.mpi.executor.run_spmd`.  ``fault_plan`` and
+        ``backend`` picks the SPMD execution backend (``"fused"`` or
+        ``"lockstep"``); ``None`` defers to ``REPRO_SPMD_BACKEND`` / the
+        fused default — see :func:`repro.mpi.executor.run_spmd`.  A fused
+        run that has to fall back to lockstep says why on
+        ``RunResult.fallback``.  ``fault_plan`` and
         ``watchdog`` pass straight through to ``run_spmd`` (chaos
         injection and the host-wall-clock safety net; see
         docs/RESILIENCE.md).  ``trace`` records a deterministic

@@ -101,8 +101,8 @@ class MpiTimeoutError(MpiError):
 
 class SpmdWatchdogError(MpiTimeoutError):
     """The host-wall-clock watchdog expired: the SPMD run was aborted
-    instead of hanging (the free-running threads backend cannot detect
-    deadlock on its own)."""
+    instead of hanging (a rank wedged in host code is invisible to the
+    lockstep scheduler's deadlock detection)."""
 
 
 class MpiRetryExhaustedError(MpiTimeoutError):

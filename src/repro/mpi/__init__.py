@@ -42,6 +42,7 @@ from .executor import (
     BACKEND_ENV_VAR,
     BACKENDS,
     FAULT_PLAN_ENV_VAR,
+    FusedFallback,
     SpmdResult,
     WATCHDOG_ENV_VAR,
     resolve_backend,
@@ -81,7 +82,7 @@ __all__ = [
     "SUM", "PROD", "MAX", "MIN", "LAND", "LOR",
     "Datatype", "DOUBLE", "FLOAT", "INT", "LONG", "CHAR",
     "DOUBLE_COMPLEX", "BYTE", "sizeof",
-    "SpmdResult", "run_spmd", "BACKENDS", "BACKEND_ENV_VAR",
+    "SpmdResult", "FusedFallback", "run_spmd", "BACKENDS", "BACKEND_ENV_VAR",
     "resolve_backend", "LockstepScheduler", "DeadlockError", "MpiError",
     "FusedComm", "PerRankScalar", "FusionDivergence",
     "FaultPlan", "FaultRule", "load_plan", "resolve_fault_plan",

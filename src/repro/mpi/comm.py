@@ -11,17 +11,13 @@ latency/bandwidth/topology.  Reported speedups are ratios of virtual
 times, which is what lets a laptop reproduce the shape of the paper's
 Meiko CS-2 / SMP / Ethernet-cluster results.
 
-Two execution backends share this module (selected in
-:func:`~repro.mpi.executor.run_spmd`):
-
-* ``lockstep`` (default) — a cooperative scheduler
-  (:mod:`repro.mpi.scheduler`) gates the carrier threads so exactly one
-  rank runs at a time; blocking operations park the rank and hand off,
-  so there are no locks on the hot path, no condvar broadcasts, no
-  timeout polling, and runs are bit-deterministic.
-* ``threads`` — free-running threads rendezvousing on one
-  ``threading.Condition``; kept for differential testing of the
-  scheduler itself.
+The ``lockstep`` backend (see :func:`~repro.mpi.executor.run_spmd`)
+drives this module: a cooperative scheduler (:mod:`repro.mpi.scheduler`)
+gates the carrier threads so exactly one rank runs at a time; blocking
+operations park the rank and hand off, so there are no locks on the hot
+path, no condvar broadcasts, no timeout polling, and runs are
+bit-deterministic.  The default ``fused`` backend reuses :class:`World`
+only as its clocks/statistics container (:mod:`repro.mpi.fused`).
 
 The API mirrors mpi4py's lowercase (pickle-object) methods.
 """
@@ -43,8 +39,6 @@ from .recovery import retry_backoff
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-_WAIT_TIMEOUT = 0.2  # seconds between abort checks while blocked (threads)
 
 #: wait-graph rendering cap: reports list at most this many blocked
 #: ranks beyond any detected cycle (a P=1024 deadlock report must stay
@@ -134,10 +128,10 @@ class _Abort(MpiError):
 class World:
     """Shared state of one SPMD execution.
 
-    ``scheduler`` is a :class:`~repro.mpi.scheduler.LockstepScheduler`
-    when the cooperative backend is active, else ``None``.  Under
-    lockstep, exactly one rank runs at a time, so shared state is
-    mutated without taking ``cond``.
+    ``scheduler`` is the :class:`~repro.mpi.scheduler.LockstepScheduler`
+    that gates the ranks' :class:`Comm` calls; exactly one rank runs at
+    a time, so shared state is mutated without locks.  It is ``None``
+    only for the fused backend's bookkeeping world, which never blocks.
     """
 
     def __init__(self, nprocs: int, machine: MachineModel, scheduler=None,
@@ -192,10 +186,11 @@ class World:
         #: per-rank virtual clocks.  A rank-indexed float64 array so the
         #: fused backend can charge all P ranks with one vector
         #: expression; scalar indexing (``clocks[r] += dt``) keeps the
-        #: lockstep/threads per-rank view and is bit-identical to the
-        #: old Python-list arithmetic (IEEE float64 either way).
+        #: lockstep per-rank view and is bit-identical to the old
+        #: Python-list arithmetic (IEEE float64 either way).
         self.clocks = np.full(nprocs, self.start_time, dtype=np.float64)
-        self.cond = threading.Condition()
+        # first abort wins, also against the host watchdog's timer thread
+        self._abort_lock = threading.Lock()
         # (src, dst, tag) -> deque of (payload, arrival_time, nbytes,
         # checksum); the wire size is computed once at send time and
         # carried with the message so receive-side accounting never
@@ -216,8 +211,6 @@ class World:
         #: ``collective_time``, so every backend reports the same bytes)
         self._coll_nbytes: int = 0
         self._arrived = 0
-        self._departed = 0
-        self._generation = 0
         # message statistics (observability / tests): rank-indexed
         # primaries so the fused backend can bump all P ranks at once;
         # the scalar totals everyone reads are properties over these.
@@ -243,19 +236,18 @@ class World:
     # ------------------------------------------------------------------ #
 
     def abort(self, exc: BaseException) -> None:
-        with self.cond:
+        with self._abort_lock:
             if self.aborted is None:
                 self.aborted = exc
-            self.cond.notify_all()
 
     def _check_abort(self) -> None:
         if self.aborted is not None:
             raise _Abort(f"peer rank failed: {self.aborted!r}")
 
     def _count(self, op: str) -> None:
-        """Tally one collective by name.  Callers either hold ``cond``,
-        run under the lockstep baton, or are the only rank — so a plain
-        increment is race-free everywhere it is used."""
+        """Tally one collective by name.  Callers run under the lockstep
+        baton or are the only rank (fused) — so a plain increment is
+        race-free everywhere it is used."""
         self.collective_counts[op] = self.collective_counts.get(op, 0) + 1
 
     def wait_snapshot(self) -> str:
@@ -325,7 +317,6 @@ class World:
         self._coll_time = tnew
         self._coll_tmax = tmax
         self._arrived = 0
-        self._generation += 1
         self.collectives += 1
         self.rank_collectives += 1
         if op is not None:
@@ -349,29 +340,18 @@ class World:
         if self.faults is not None:
             self.faults.check_crash(rank, op or "collective",
                                     self.clocks[rank])
-        if self.scheduler is not None:
-            return self._sync_lockstep(rank, contribution, combine, op,
-                                       rec, line)
-        return self._sync_threads(rank, contribution, combine, op,
-                                  rec, line)
-
-    def _sync_lockstep(self, rank: int, contribution: Any,
-                       combine: Callable, op: Optional[str],
-                       rec=None, line: int = 0):
-        """Single-runner rendezvous: no locks, no broadcast, no polling.
-
-        Early ranks park; the last rank to arrive runs ``combine`` once
-        and unparks everyone.  A parked rank reads the published result
-        as its first action on resume, which happens-before any rank
-        can complete the *next* collective (that would require this rank
-        to have arrived there first), so one result slot suffices and no
-        departure barrier is needed.
-        """
         self._check_abort()
         self._slots[rank] = contribution
         self._arrived += 1
         if self._arrived < self.nprocs:
-            # reason is a lazy record; only a deadlock report formats it
+            # Single-runner rendezvous: early ranks park; the last rank
+            # to arrive runs ``combine`` once and unparks everyone.  A
+            # parked rank reads the published result as its first
+            # action on resume, which happens-before any rank can
+            # complete the *next* collective (that would require this
+            # rank to have arrived there first), so one result slot
+            # suffices and no departure barrier is needed.  The reason
+            # is a lazy record; only a deadlock report formats it.
             self.scheduler.block(
                 rank, ("collective", op, self._arrived, self.nprocs))
             self._check_abort()
@@ -389,46 +369,6 @@ class World:
             rec.collective(op or "collective", line, t0,
                            self.clocks[rank] - t0, self._coll_nbytes)
         return self._coll_result
-
-    def _sync_threads(self, rank: int, contribution: Any,
-                      combine: Callable, op: Optional[str],
-                      rec=None, line: int = 0):
-        with self.cond:
-            self._check_abort()
-            generation = self._generation
-            self._slots[rank] = contribution
-            self._arrived += 1
-            if self._arrived == self.nprocs:
-                self._run_combine(combine, op)
-                self.cond.notify_all()
-            else:
-                while (self._generation == generation
-                       and self.aborted is None):
-                    self.cond.wait(_WAIT_TIMEOUT)
-                self._check_abort()
-            result = self._coll_result
-            self._check_virtual_timeout(
-                rank, self._coll_tmax - self.clocks[rank],
-                op or "collective")
-            t0 = self.clocks[rank]
-            self.clocks[rank] = max(t0, self._coll_time)
-            if rec is not None:
-                # still under ``cond`` and before departure, so
-                # ``_coll_nbytes`` cannot yet belong to the *next*
-                # collective of a faster peer
-                rec.collective(op or "collective", line, t0,
-                               self.clocks[rank] - t0, self._coll_nbytes)
-            self._departed += 1
-            if self._departed == self.nprocs:
-                self._departed = 0
-                self._slots = [None] * self.nprocs
-                self.cond.notify_all()
-            else:
-                # hold the next collective until everyone has read
-                while self._departed != 0 and self.aborted is None:
-                    self.cond.wait(_WAIT_TIMEOUT)
-                self._check_abort()
-            return result
 
 
 class Request:
@@ -489,6 +429,12 @@ class Comm:
         #: every hook below guards on this single cached reference
         self._rec = None if world.trace is None \
             else world.trace.recorders[rank]
+
+    def poll_abort(self) -> None:
+        """Unwind this rank if the world aborted (the runtime polls this
+        at every loop back-edge, so a rank spinning in scalar code
+        leaves through the normal abort path)."""
+        self.world._check_abort()
 
     # -- virtual time --------------------------------------------------- #
 
@@ -571,13 +517,6 @@ class Comm:
         self._check_tag(tag)
         nbytes = sizeof(obj)
         world = self.world
-        scheduler = world.scheduler
-        if scheduler is None:
-            with world.cond:
-                world._check_abort()
-                self._post_message(obj, dest, tag, nbytes)
-                world.cond.notify_all()
-            return
         world._check_abort()
         delivered = self._post_message(obj, dest, tag, nbytes)
         # unpark the receiver iff it is parked on a matching pattern
@@ -589,7 +528,7 @@ class Comm:
             wsource, wtag = waiting
             if (wsource in (ANY_SOURCE, self.rank)
                     and wtag in (ANY_TAG, tag)):
-                scheduler.unblock(dest)
+                world.scheduler.unblock(dest)
 
     def _post_message(self, obj: Any, dest: int, tag: int,
                       nbytes: int) -> bool:
@@ -713,25 +652,13 @@ class Comm:
         if world.faults is not None:
             world.faults.check_crash(self.rank, "recv",
                                      world.clocks[self.rank])
-        scheduler = world.scheduler
-        if scheduler is None:
-            with world.cond:
-                while True:
-                    world._check_abort()
-                    key = self._find_message(source, tag)
-                    if key is not None:
-                        world._recv_waiting.pop(self.rank, None)
-                        return self._take_message(key, status)
-                    # record the wait pattern for watchdog post-mortems
-                    world._recv_waiting[self.rank] = (source, tag)
-                    world.cond.wait(_WAIT_TIMEOUT)
         while True:
             world._check_abort()
             key = self._find_message(source, tag)
             if key is not None:
                 return self._take_message(key, status)
             world._recv_waiting[self.rank] = (source, tag)
-            scheduler.block(self.rank, ("recv", source, tag))
+            world.scheduler.block(self.rank, ("recv", source, tag))
             world._recv_waiting.pop(self.rank, None)
 
     def _take_message(self, key: tuple[int, int, int],
@@ -764,22 +691,14 @@ class Comm:
     def _try_recv(self, source: int, tag: int,
                   status: Optional[Status] = None) -> Any:
         """Nonblocking receive attempt: the matched payload, or
-        ``_NOT_READY``.  Under lockstep a miss rotates the baton once so
+        ``_NOT_READY``.  A miss rotates the baton once so
         ``while not request.test()`` polling loops cannot starve the
         sender, then re-probes."""
         world = self.world
-        scheduler = world.scheduler
-        if scheduler is None:
-            with world.cond:
-                world._check_abort()
-                key = self._find_message(source, tag)
-                if key is None:
-                    return _NOT_READY
-                return self._take_message(key, status)
         world._check_abort()
         key = self._find_message(source, tag)
         if key is None:
-            scheduler.yield_now(self.rank)
+            world.scheduler.yield_now(self.rank)
             world._check_abort()
             key = self._find_message(source, tag)
         if key is None:

@@ -1,35 +1,35 @@
 """SPMD launcher for the simulated MPI layer.
 
-``run_spmd`` starts one carrier thread per rank, hands each a
-:class:`~repro.mpi.comm.Comm`, and collects results, per-rank virtual
-times, and any exception.  A failure on one rank aborts the world so
+``run_spmd`` runs ``fn`` for every simulated rank and collects results,
+per-rank virtual times, and any exception.  Under ``lockstep`` it starts
+one carrier thread per rank and hands each a
+:class:`~repro.mpi.comm.Comm`; a failure on one rank aborts the world so
 peers blocked in ``recv``/collectives unwind instead of deadlocking.
 
 Two backends execute the rank programs (``backend=`` argument, or the
-``REPRO_SPMD_BACKEND`` environment variable; default ``lockstep``):
+``REPRO_SPMD_BACKEND`` environment variable; default ``fused``):
 
-``lockstep``
-    Cooperative: a :class:`~repro.mpi.scheduler.LockstepScheduler`
-    gates the carrier threads so exactly one rank runs at a time,
-    parking at blocking points and handing off.  Deterministic, nearly
-    free per extra rank, and it *detects* deadlock (reporting the full
-    blocked-rank wait graph) instead of hanging.
-
-``threads``
-    Free-running OS threads rendezvousing on a condition variable.
-    Kept for differential testing of the scheduler: both backends must
-    produce identical virtual times and communication statistics.
-
-``fused``
+``fused`` (default)
     Rank fusion: the program runs **once** with a
     :class:`~repro.mpi.fused.FusedComm` carrying all ranks' state, so
     the interpreter's control-flow overhead is paid once instead of P
     times.  Accounting (virtual clocks, message/byte/collective counts)
     is bit-identical to ``lockstep``.  If the program turns out to be
     rank-dependent (it reads ``comm.rank``, or hits an op with no fused
-    path), the run raises :class:`~repro.errors.FusionDivergence` and
-    ``run_spmd`` transparently re-runs it under ``lockstep`` — fusion is
-    an optimization, never a semantics change.
+    path), or a fault plan is active, the run raises
+    :class:`~repro.errors.FusionDivergence` and ``run_spmd``
+    transparently re-runs it under ``lockstep`` — fusion is an
+    optimization, never a semantics change.  The reason and the MATLAB
+    source line of every such fallback land on ``SpmdResult.fallback``
+    (and in the trace meta).
+
+``lockstep``
+    Cooperative: a :class:`~repro.mpi.scheduler.LockstepScheduler`
+    gates one carrier thread per rank so exactly one rank runs at a
+    time, parking at blocking points and handing off.  Deterministic,
+    and it *detects* deadlock (reporting the full blocked-rank wait
+    graph) instead of hanging.  It is the fused backend's fallback and
+    the oracle the differential tests compare it against.
 
 Self-healing (``on_fault=`` / ``$REPRO_ON_FAULT``; see
 :mod:`repro.mpi.recovery` and docs/RESILIENCE.md): with a non-abort
@@ -48,7 +48,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from ..errors import FusionDivergence, MpiCorruptionError, MpiError, \
@@ -60,10 +60,10 @@ from .machine import MachineModel
 from .recovery import ActiveRecovery, RecoveryReport, resolve_recovery
 from .scheduler import DeadlockError, LockstepScheduler
 
-BACKENDS = ("lockstep", "threads", "fused")
+BACKENDS = ("lockstep", "fused")
 
 #: environment override for the default backend (used by the CI matrix
-#: to run the whole suite under each backend)
+#: to run the whole suite under lockstep as well)
 BACKEND_ENV_VAR = "REPRO_SPMD_BACKEND"
 
 #: environment default for the chaos fault plan (inline spec or a path)
@@ -92,7 +92,7 @@ _TEARDOWN_GRACE = 5.0
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Pick the SPMD backend: explicit argument > environment > default."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "lockstep"
+        backend = os.environ.get(BACKEND_ENV_VAR) or "fused"
     if backend not in BACKENDS:
         raise MpiError(
             f"unknown SPMD backend {backend!r} (expected one of "
@@ -160,6 +160,22 @@ def resolve_watchdog(watchdog: Optional[float] = None) -> Optional[float]:
     return value
 
 
+@dataclass(frozen=True)
+class FusedFallback:
+    """Why a ``fused`` run was re-run under ``lockstep``: the
+    :class:`~repro.errors.FusionDivergence` message and the MATLAB
+    source line the fused pass had reached (0 when it diverged before
+    the first line marker, e.g. on a fault plan or a raw SPMD
+    function)."""
+
+    reason: str
+    line: int = 0
+
+    def __str__(self) -> str:
+        return f"{self.reason} (line {self.line})" if self.line \
+            else self.reason
+
+
 @dataclass
 class SpmdResult:
     """Outcome of one SPMD execution."""
@@ -172,6 +188,8 @@ class SpmdResult:
     bytes_sent: int = 0
     collectives: int = 0
     collective_counts: dict[str, int] = field(default_factory=dict)
+    #: the backend that actually executed (``"lockstep"`` after a
+    #: fused fallback; ``fallback`` then says why)
     backend: str = "lockstep"
     #: deterministic log of injected chaos events (rank order), empty
     #: when no fault plan was active; spans *every* restart attempt
@@ -188,6 +206,9 @@ class SpmdResult:
     #: per-rank message re-send counts from the retry layer (all zeros
     #: unless retries healed something this attempt)
     rank_retries: list[int] = field(default_factory=list)
+    #: the :class:`FusedFallback` when a ``fused`` request diverged and
+    #: re-ran under ``lockstep``, else ``None``
+    fallback: Optional[FusedFallback] = None
 
     @property
     def elapsed(self) -> float:
@@ -202,8 +223,9 @@ def _arm_watchdog(world: World, scheduler, budget: float,
     budget spans fused attempt, fallback, and restarts) but the
     diagnostic names ``total``, the allowance the caller configured.
     The timer aborts the *world*; blocked ranks unwind through the
-    normal abort path, and the fused backend checks the abort flag at
-    every collective charge."""
+    normal abort path, compiled loops poll the abort flag at every
+    back-edge (``Comm.poll_abort``), and the fused backend also checks
+    it at every collective charge."""
     if total is None:
         total = budget
 
@@ -277,40 +299,40 @@ def _unconsumed(world: World) -> Optional[MpiError]:
 
 
 def _run_attempt(nprocs: int, machine: MachineModel, fn: Callable,
-                 args: tuple, kwargs: dict, backend: str,
+                 args: tuple, kwargs: dict,
                  plan: Optional[FaultPlan],
                  fault_state: Optional[FaultState],
                  recovery: Optional[ActiveRecovery],
                  start_base: float, world_trace,
                  budget: Optional[float],
                  watchdog_total: Optional[float] = None):
-    """One execution attempt of the threaded backends.
+    """One lockstep execution attempt.
 
     Builds a fresh world (carrying the cross-attempt fault state, so
     fired one-shot rules stay consumed on replay, and the recovery
     ledger), runs every rank, and returns ``(world, results, error)``
     without raising for rank failures — the caller's recovery loop
     decides what heals and what surfaces."""
-    scheduler = LockstepScheduler(nprocs) if backend == "lockstep" else None
+    scheduler = LockstepScheduler(nprocs)
     world = World(nprocs, machine, scheduler=scheduler, fault_plan=plan,
                   trace=world_trace, fault_state=fault_state,
                   recovery=recovery, start_time=start_base)
-    if scheduler is not None:
-        scheduler.trace = world_trace
-        scheduler.on_deadlock = world.abort
-        if world.virtual_timeout is not None:
-            timeout = world.virtual_timeout
-            scheduler.deadlock_factory = lambda graph: MpiTimeoutError(
-                f"virtual-clock timeout (limit {timeout:.9g}s): "
-                f"no simulated rank can make progress", wait_graph=graph)
+    scheduler.trace = world_trace
+    scheduler.on_deadlock = world.abort
+    if world.virtual_timeout is not None:
+        timeout = world.virtual_timeout
+        scheduler.deadlock_factory = lambda graph: MpiTimeoutError(
+            f"virtual-clock timeout (limit {timeout:.9g}s): "
+            f"no simulated rank can make progress", wait_graph=graph)
     results: list[Any] = [None] * nprocs
     errors: list[tuple[int, BaseException]] = []
+    # after an abort every baton is released, so unwinding ranks may
+    # run concurrently
     lock = threading.Lock()
 
     def worker(rank: int) -> None:
         comm = Comm(world, rank)
-        if scheduler is not None:
-            scheduler.start_rank(rank)
+        scheduler.start_rank(rank)
         try:
             if world.aborted is None:
                 results[rank] = fn(comm, *args, **kwargs)
@@ -320,20 +342,17 @@ def _run_attempt(nprocs: int, machine: MachineModel, fn: Callable,
             with lock:
                 errors.append((rank, exc))
             world.abort(exc)
-            if scheduler is not None:
-                scheduler.abort()
+            scheduler.abort()
         finally:
-            if scheduler is not None:
-                scheduler.finish_rank(rank)
+            scheduler.finish_rank(rank)
 
     timer: Optional[threading.Timer] = None
     if budget is not None:
         timer = _arm_watchdog(world, scheduler, budget, watchdog_total)
     try:
-        if scheduler is not None:
-            scheduler.kickoff()
+        scheduler.kickoff()
         if nprocs == 1:
-            # fast path: no threads needed (the baton, if any, is pre-set)
+            # fast path: no threads needed (the baton is pre-set)
             worker(0)
         else:
             threads = [threading.Thread(target=worker, args=(rank,),
@@ -434,6 +453,7 @@ def run_spmd(nprocs: int, machine: MachineModel,
     if backend == "fused":
         world_trace = new_trace() if tracing else None
         timer: Optional[threading.Timer] = None
+        comm: Optional[FusedComm] = None
         try:
             try:
                 comm = FusedComm(nprocs, machine,  # validates nprocs
@@ -444,7 +464,7 @@ def run_spmd(nprocs: int, machine: MachineModel,
                 result = fn(comm, *args, **kwargs)
                 if comm.world.aborted is not None:
                     raise comm.world.aborted
-            except FusionDivergence:
+            except FusionDivergence as divergence:
                 # rank-dependent program — or a chaos plan, whose fault
                 # schedule is inherently rank-dependent: re-run honestly
                 # (with a fresh trace; the aborted fused pass is
@@ -454,10 +474,12 @@ def run_spmd(nprocs: int, machine: MachineModel,
                 if timer is not None:
                     timer.cancel()
                     timer = None
+                fallback = FusedFallback(
+                    str(divergence), comm.line if comm is not None else 0)
                 if on_fused_fallback is not None:
                     on_fused_fallback()
                 remaining = budget_left("the lockstep re-run")
-                return run_spmd(nprocs, machine, fn, *args,
+                spmd = run_spmd(nprocs, machine, fn, *args,
                                 backend="lockstep",
                                 on_fused_fallback=on_fused_fallback,
                                 fault_plan=plan, watchdog=remaining,
@@ -465,6 +487,10 @@ def run_spmd(nprocs: int, machine: MachineModel,
                                 max_restarts=policy.max_restarts,
                                 checkpoint_every=policy.checkpoint_every,
                                 **kwargs)
+                spmd.fallback = fallback
+                if spmd.trace is not None:
+                    spmd.trace.meta["fallback"] = asdict(fallback)
+                return spmd
             except MpiError:
                 raise  # substrate diagnostics keep their structured type
             except BaseException as exc:  # noqa: BLE001 - lockstep parity
@@ -508,7 +534,7 @@ def run_spmd(nprocs: int, machine: MachineModel,
             recovery.stamp_pending(world_trace)
         start_base = recovery.start_base if recovery is not None else 0.0
         world, results, exc = _run_attempt(
-            nprocs, machine, fn, args, kwargs, backend, plan,
+            nprocs, machine, fn, args, kwargs, plan,
             fault_state, recovery, start_base, world_trace, budget,
             watchdog)
 

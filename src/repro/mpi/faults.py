@@ -29,8 +29,8 @@ This module defines the fault *schedule*:
     never of wall-clock time, thread interleaving, or a shared RNG
     stream — so an identical plan+seed reproduces the identical fault
     schedule on every run and on every backend (each rank executes the
-    same operation sequence under ``lockstep``, ``threads``, and the
-    lockstep fallback of ``fused``).
+    same operation sequence under ``lockstep`` and under the lockstep
+    fallback of a ``fused`` request).
 
 Payload integrity (the ``corrupt`` detector) also lives here: when a
 plan is active every message carries a CRC32 checksum computed at send
@@ -514,10 +514,10 @@ class FaultState:
     All counters are **per acting rank**: each rank's schedule depends
     only on its own deterministic operation sequence, never on how the
     backend interleaves ranks — which is exactly what makes the same
-    plan reproduce the same faults under every backend.  Under the
-    ``threads`` backend each rank's counters are touched only by its own
-    carrier thread, so no locking is needed; the per-rank event logs are
-    flattened in rank order for reporting.
+    plan reproduce the same faults under every backend.  Each rank's
+    counters are touched only by its own carrier thread, so no locking
+    is needed; the per-rank event logs are flattened in rank order for
+    reporting.
     """
 
     def __init__(self, plan: FaultPlan, nprocs: int):

@@ -12,8 +12,8 @@ Communication ops never move data here — the fused runtime paths already
 computed every rank's result as an in-process permutation or reduction —
 but each op charges **exactly** what the lockstep backend would charge:
 
-* per-rank virtual clocks (``compute_ranks`` groups ranks by identical
-  work, so a P-rank charge costs O(distinct counts) model evaluations);
+* per-rank virtual clocks (``compute_ranks`` charges all P clocks with
+  one vectorized model evaluation over the per-rank count arrays);
 * ``messages_sent`` / ``bytes_sent`` for point-to-point patterns
   (``ring_exchange`` mirrors P simultaneous ``sendrecv`` calls);
 * ``collectives`` / ``collective_counts`` via the ``charge_*`` helpers,
@@ -168,6 +168,15 @@ class FusedComm:
 
     # -- replicated virtual time ------------------------------------------ #
 
+    def poll_abort(self) -> None:
+        """Raise the watchdog's abort, if it fired.  The single pass runs
+        on the caller's thread and cannot be abandoned like a lockstep
+        carrier, so the runtime polls this at every loop back-edge: a
+        program wedged in scalar code (no op ever charges a clock)
+        still ends."""
+        if self.world.aborted is not None:
+            raise self.world.aborted
+
     def advance(self, dt: float) -> None:
         if dt < 0:
             raise FusionDivergence("cannot advance the clock backwards")
@@ -204,10 +213,12 @@ class FusedComm:
             self._trace.recorders[0].io(self.line, self.world.clocks[0],
                                         nbytes)
 
-    def compute_ranks(self, flops: Optional[Sequence[int]] = None,
-                      elems: Optional[Sequence[int]] = None,
-                      mem: Optional[Sequence[int]] = None) -> None:
-        """Per-rank local computation (one sequence entry per rank).
+    def compute_ranks(self, flops: Optional[np.ndarray] = None,
+                      elems: Optional[np.ndarray] = None,
+                      mem: Optional[np.ndarray] = None) -> None:
+        """Per-rank local computation: one count per rank, usually an
+        int64 array derived from ``FusedDMatrix.rank_counts()`` (any
+        sequence works).
 
         One vectorized model evaluation charges all P clocks; each
         element of :meth:`MachineModel.compute_time_vec` is bit-identical

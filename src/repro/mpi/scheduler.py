@@ -1,10 +1,8 @@
 """Cooperative lockstep scheduler for simulated SPMD ranks.
 
-The free-running ``threads`` backend lets every rank's carrier thread
-run whenever the OS pleases and rendezvouses them on one
-``threading.Condition`` — correct, but each collective is a
-double-barrier broadcast across GIL-contended threads, with timeout
-polling (``cond.wait(0.2)``) so aborts are noticed.
+Free-running carrier threads rendezvousing on a condition variable
+would make each collective a double-barrier broadcast across
+GIL-contended threads, with timeout polling so aborts are noticed.
 
 This module implements the discrete-event alternative: **exactly one
 rank runs at a time**.  Each rank still owns a carrier thread (rank

@@ -27,7 +27,7 @@ from .ops import OPS, POW_CONST_REWRITES
 #: bump whenever generated code or the calling convention changes — the
 #: version participates in the content hash, so stale on-disk kernels
 #: from older ABIs are never dlopen'ed
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 
 class UnsupportedSpecError(Exception):

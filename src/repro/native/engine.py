@@ -21,8 +21,8 @@ Correctness layers (all per-kernel, all automatic):
    bitwise against the reference lambda; any mismatch blacklists the
    kernel permanently.
 
-The engine is shared across ranks and backends; the free-running
-threads backend may call it concurrently, so compilation, cache
+The engine is shared across ranks, backends and the compile/run
+server's concurrent sessions, so compilation, cache
 mutation, and probing hold a lock (kernel *execution* does not — the
 C loop only touches its own buffers).
 """

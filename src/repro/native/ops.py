@@ -86,8 +86,10 @@ OPS: dict[str, OpInfo] = {
     "fn:ceil": OpInfo(1, "ceil({0})"),
     "fn:fix": OpInfo(1, "trunc({0})"),
     "fn:round": OpInfo(1, "floor({0} + 0.5)"),
+    # numpy's sign maps both zeros to +0.0 and passes NaN through
     "fn:sign": OpInfo(
-        1, "(({0} > 0.0) ? 1.0 : (({0} < 0.0) ? -1.0 : {0}))"),
+        1, "(({0} > 0.0) ? 1.0 : (({0} < 0.0) ? -1.0 : "
+           "(({0} == 0.0) ? 0.0 : {0})))"),
     "fn:isnan": OpInfo(1, "(({0} != {0}) ? 1.0 : 0.0)"),
     "fn:isinf": OpInfo(1, "(isinf({0}) ? 1.0 : 0.0)"),
     "fn:isfinite": OpInfo(1, "(isfinite({0}) ? 1.0 : 0.0)"),

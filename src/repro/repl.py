@@ -201,6 +201,8 @@ class Repl:
         self._out(f"[run] {nprocs} rank(s) of {machine.name}: "
                   f"{result.elapsed * 1e3:.3f} ms modeled; "
                   f"cache {outcome.describe()}\n")
+        if result.fallback is not None:
+            self._out(f"[backend] fused → lockstep: {result.fallback}\n")
 
     def _whos(self) -> str:
         if not self.workspace:

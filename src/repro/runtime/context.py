@@ -187,8 +187,11 @@ class RuntimeContext:
             return V.simplify(full)
         scheme = scheme or self.scheme
         if self.fused:
+            # C order, as lockstep's from_full gives every local block:
+            # the per-block kernels must see the same memory layout
             return FusedDMatrix(full.shape[0], full.shape[1], full.dtype,
-                                full, self.size, scheme)
+                                np.ascontiguousarray(full), self.size,
+                                scheme)
         return DMatrix.from_full(full, self.size, self.rank, scheme)
 
     def realign(self, value: RValue, scheme: str) -> RValue:
@@ -220,8 +223,7 @@ class RuntimeContext:
             # the full array is already in hand; charge exactly what the
             # lockstep allgather would (max per-rank block, symmetric)
             self.comm.overhead()
-            per = value.cols if value.layout == "rows" else 1
-            nbytes = max(value.map.counts()) * per * value.full.itemsize
+            nbytes = int(value.rank_counts().max()) * value.full.itemsize
             self.comm.charge_allgather(nbytes)
             # callers may scribble on the result unless they promised
             # not to
@@ -642,8 +644,7 @@ class RuntimeContext:
             template = dists[0]
             counts = template.rank_counts()
             self.comm.overhead()
-            self.comm.compute_ranks(elems=[c * nops for c in counts],
-                                    mem=counts)
+            self.comm.compute_ranks(elems=counts * nops, mem=counts)
             return template.like_full(out_full)
         args = []
         for op in operands:
@@ -691,6 +692,8 @@ class RuntimeContext:
 
             combined = self.comm.allreduce(float(local_ok), op=LAND)
             return bool(combined) and value.numel > 0
+        # every while back-edge tests its condition here
+        self.comm.poll_abort()
         return V.truthy(value)
 
     def loop_values(self, iterable: RValue):
@@ -700,22 +703,27 @@ class RuntimeContext:
         otherwise."""
         if isinstance(iterable, str):
             raise MatlabRuntimeError("for: cannot iterate a string")
+        poll = self.comm.poll_abort
         if not isinstance(iterable, DMatrix):
             arr = V.as_matrix(iterable)
             if arr.shape[0] == 1:
                 for c in range(arr.shape[1]):
+                    poll()
                     yield V.simplify(arr[0, c])
             else:
                 for c in range(arr.shape[1]):
+                    poll()
                     yield V.simplify(arr[:, c:c + 1])
             return
         if iterable.rows == 1:
             full = self.gather_full(iterable).reshape(-1)
             for value in full:
+                poll()
                 yield complex(value) if np.iscomplexobj(full) \
                     else float(value)
         else:
             for c in range(iterable.cols):
+                poll()
                 yield self.index_read(iterable, [COLON, float(c + 1)])
 
     # ------------------------------------------------------------------ #
@@ -902,7 +910,9 @@ def _codegen_support(cls):
             raise MatlabRuntimeError("for: range step must be nonzero")
         n = int(_np.floor((ev - sv) / pv * (1 + _np.finfo(float).eps * 4)
                           + 1e-10)) + 1
+        poll = self.comm.poll_abort
         for k in range(max(n, 0)):
+            poll()
             yield sv + pv * k
 
     def end_extent(self, value, axis, nargs):

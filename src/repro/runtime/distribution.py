@@ -198,6 +198,12 @@ def _cyclic_counts_raw(n: int, nprocs: int) -> tuple[int, ...]:
     return tuple(m.count(r) for r in range(nprocs))
 
 
+def _count_array_raw(m, per: int) -> np.ndarray:
+    arr = np.asarray(m.counts(), dtype=np.int64) * per
+    arr.flags.writeable = False
+    return arr
+
+
 _CACHES: dict[str, object] = {}
 
 
@@ -205,16 +211,19 @@ def configure_map_cache(maxsize: int | None = None) -> int:
     """(Re)build the geometry caches with ``maxsize`` entries each
     (default: REPRO_MAP_CACHE_SIZE or 65536).  Returns the size in
     effect.  Existing cached entries are discarded."""
-    global _get_map_c, _block_counts_c, _block_starts_c, _cyclic_counts_c
+    global _get_map_c, _block_counts_c, _block_starts_c, _cyclic_counts_c, \
+        _count_array_c
     size = maxsize if maxsize and maxsize > 0 else _env_cache_size()
     _get_map_c = lru_cache(maxsize=size)(_get_map_raw)
     _block_counts_c = lru_cache(maxsize=size)(_block_counts_raw)
     _block_starts_c = lru_cache(maxsize=size)(_block_starts_raw)
     _cyclic_counts_c = lru_cache(maxsize=size)(_cyclic_counts_raw)
+    _count_array_c = lru_cache(maxsize=size)(_count_array_raw)
     _CACHES.clear()
     _CACHES.update(get_map=_get_map_c, block_counts=_block_counts_c,
                    block_starts=_block_starts_c,
-                   cyclic_counts=_cyclic_counts_c)
+                   cyclic_counts=_cyclic_counts_c,
+                   count_array=_count_array_c)
     return size
 
 
@@ -238,6 +247,12 @@ configure_map_cache()
 def get_map(scheme: str, n: int, nprocs: int):
     """Shared BlockMap/CyclicMap instance for this geometry."""
     return _get_map_c(scheme, n, nprocs)
+
+
+def count_array(m, per: int = 1) -> np.ndarray:
+    """``m.counts()`` times ``per`` as a shared, read-only int64 array,
+    so the fused backend's per-op accounting costs no O(P) Python."""
+    return _count_array_c(m, per)
 
 
 def _block_counts(n: int, nprocs: int) -> tuple[int, ...]:

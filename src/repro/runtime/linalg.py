@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import MatlabRuntimeError
 from ..interp import values as V
+from .distribution import count_array
 from .matrix import DMatrix, FusedDMatrix, RValue
 
 
@@ -89,7 +90,7 @@ def dot(rt, a: RValue, b: RValue) -> RValue:
         parts = [complex(np.dot(av, bv)) if cplx else float(np.dot(av, bv))
                  for av, bv in zip(a.blocks(), b.blocks())]
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+        rt.comm.compute_ranks(flops=2 * a.rank_counts())
         rt.comm.charge_reduce(16 if cplx else 8)
         return _fold(parts)
     if isinstance(a, DMatrix) and isinstance(b, DMatrix):
@@ -118,7 +119,7 @@ def outer(rt, a: RValue, b: RValue) -> RValue:
         # elementwise products: one full outer == stacked per-rank outers
         # (a's element blocks coincide with the result's row blocks)
         out = np.outer(a.full.reshape(-1), b_full)
-        counts = [c * n for c in a.map.counts()]
+        counts = count_array(a.map, n)
         rt.comm.overhead()
         rt.comm.compute_ranks(flops=counts, mem=counts)
         return FusedDMatrix(m, n, out.dtype, out, rt.size, a.scheme)
@@ -145,7 +146,7 @@ def matvec(rt, a: RValue, x: RValue) -> RValue:
             for r, part in enumerate(parts):
                 y[a.rank_global_indices(r)] = part
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+        rt.comm.compute_ranks(flops=2 * a.rank_counts())
         return FusedDMatrix(m, 1, y.dtype, y.reshape(-1, 1),
                             rt.size, a.scheme)
     if isinstance(a, DMatrix) and not a.is_vector:
@@ -178,7 +179,7 @@ def vecmat(rt, x: RValue, a: RValue) -> RValue:
                          if blk.size else
                          np.zeros(a.cols, dtype=a.full.dtype))
         rt.comm.overhead()
-        rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+        rt.comm.compute_ranks(flops=2 * a.rank_counts())
         rt.comm.charge_reduce(max(np.asarray(p).nbytes for p in parts))
         result = np.asarray(_fold(parts)).reshape(1, -1)
         return rt.distribute_full(result) if result.size > 1 \
@@ -201,20 +202,20 @@ def vecmat(rt, x: RValue, a: RValue) -> RValue:
 
 def _matmat(rt, a: RValue, b: RValue) -> RValue:
     """(m x k) * (k x n): allgather B, multiply local row block of A."""
-    b_full = _as_full(rt, b)
+    b_full = rt.gather_full(b, copy=False)  # read-only: matmul reads B
     if isinstance(a, FusedDMatrix) and not a.is_vector:
-        parts = [blk @ b_full for blk in a.blocks()]
         n = b_full.shape[1]
-        if a.scheme == "block":
-            full = np.vstack(parts)
-        else:
-            full = np.empty((a.rows, n),
-                            dtype=np.result_type(*[p.dtype for p in parts]))
-            for r, part in enumerate(parts):
-                full[a.rank_global_indices(r), :] = part
+        full = np.empty((a.rows, n), dtype=np.result_type(a.full, b_full))
+        # each rank's product lands straight in its rows of the result
+        # (the same BLAS call on the same operands as ``blk @ b_full``)
+        for r in range(rt.size):
+            if a.scheme == "block":
+                rows = slice(a.map.start(r), a.map.stop(r))
+                np.matmul(a.full[rows], b_full, out=full[rows])
+            else:
+                full[a.rank_global_indices(r), :] = a.block(r) @ b_full
         rt.comm.overhead()
-        rt.comm.compute_ranks(
-            flops=[2 * c * n for c in a.rank_counts()])
+        rt.comm.compute_ranks(flops=2 * a.rank_counts() * n)
         return FusedDMatrix(a.rows, n, full.dtype, full, rt.size, a.scheme)
     if isinstance(a, DMatrix) and not a.is_vector:
         local = a.local @ b_full
@@ -339,7 +340,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
                 partial = np.dot(av.conj() if conj else av, bv)
                 parts.append(complex(partial) if cplx else float(partial))
             rt.comm.overhead()
-            rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+            rt.comm.compute_ranks(flops=2 * a.rank_counts())
             rt.comm.charge_reduce(16 if cplx else 8)
             return _fold(parts)
         av = a.local.conj() if (conjugate and np.iscomplexobj(a.local)) \
@@ -369,8 +370,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
                 parts.append(np.ascontiguousarray(al @ bb))
             rt.comm.overhead()
             rt.comm.compute_ranks(
-                flops=[2 * rows_r * a.cols * b.cols
-                       for rows_r in a.map.counts()])
+                flops=2 * count_array(a.map) * a.cols * b.cols)
             rt.comm.charge_reduce(max(p.nbytes for p in parts))
             return rt.distribute_full(np.asarray(_fold(parts)))
         al = a.local.conj().T if conjugate and np.iscomplexobj(a.local) \
@@ -393,7 +393,7 @@ def matmul_t(rt, a: RValue, b: RValue, conjugate: bool = True) -> RValue:
                 parts.append(np.asarray(al.T @ bb if al.size
                                         else np.zeros(a.cols)))
             rt.comm.overhead()
-            rt.comm.compute_ranks(flops=[2 * c for c in a.rank_counts()])
+            rt.comm.compute_ranks(flops=2 * a.rank_counts())
             rt.comm.charge_reduce(max(p.nbytes for p in parts))
             total = np.asarray(_fold(parts))
             if total.size == 1:

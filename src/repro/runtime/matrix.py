@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from ..errors import DistributionError, FusionDivergence
-from .distribution import BlockMap, CyclicMap, get_map
+from .distribution import BlockMap, CyclicMap, count_array, get_map
 from .memory import record_allocation
 
 Scalar = Union[float, complex]
@@ -258,11 +258,11 @@ class FusedDMatrix(DMatrix):
     def blocks(self):
         return (self.block(r) for r in range(self.nprocs))
 
-    def rank_counts(self) -> tuple[int, ...]:
+    def rank_counts(self) -> np.ndarray:
         """Per-rank local element counts (what ``local_count`` would
-        return on each rank)."""
-        per = self.cols if self.layout == "rows" else 1
-        return tuple(c * per for c in self.map.counts())
+        return on each rank) as a shared, read-only int64 array."""
+        return count_array(self.map,
+                           self.cols if self.layout == "rows" else 1)
 
     def rank_global_indices(self, r: int) -> np.ndarray:
         """Rank ``r``'s global row (or linear, for vectors) indices."""

@@ -426,7 +426,7 @@ def trapz(rt, x: RValue | None, y: RValue) -> RValue:
                 part = float(np.real(np.sum(w * blk))) if blk.size else 0.0
             parts.append(part)
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=[c * 2 for c in y.rank_counts()])
+        rt.comm.compute_ranks(elems=2 * y.rank_counts())
         rt.comm.charge_reduce(
             max(16 if isinstance(p, complex) else 8 for p in parts))
         return _fold(parts, mpi_ops.SUM)
@@ -475,7 +475,7 @@ def trapz2(rt, z: RValue, dx: RValue = 1.0, dy: RValue = 1.0) -> float:
             wr = np.where((gidx == 0) | (gidx == rows - 1), 0.5, 1.0)
             parts.append(float(wr @ (blk.real @ wc)) if blk.size else 0.0)
         rt.comm.overhead()
-        rt.comm.compute_ranks(elems=[c * 3 for c in z.rank_counts()])
+        rt.comm.compute_ranks(elems=3 * z.rank_counts())
         rt.comm.charge_reduce(8)
         total = _fold(parts, mpi_ops.SUM)
         return float(total * dxv * dyv)

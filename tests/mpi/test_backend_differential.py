@@ -1,8 +1,8 @@
-"""Differential testing: the lockstep, threads, and fused backends must
-be observationally identical.
+"""Differential testing: the lockstep and fused backends must be
+observationally identical.
 
-The scheduler changes *when* carrier threads run (or whether ranks run
-at all, for fused), never *what* the simulated machine does — virtual
+The backend changes *how* ranks run (scheduled carrier threads, or one
+fused pass for all of them), never *what* the simulated machine does — virtual
 clocks, message/byte counts, and collective tallies are all functions of
 the program alone.  Randomized SPMD programs (hypothesis) run on every
 backend and every observable must match bit-for-bit.
@@ -110,9 +110,7 @@ def test_backends_observationally_identical(program):
     nprocs, ops = program
     prog = _make_program(ops)
     lockstep = run_spmd(nprocs, MEIKO_CS2, prog, backend="lockstep")
-    threads = run_spmd(nprocs, MEIKO_CS2, prog, backend="threads")
     fused = run_spmd(nprocs, MEIKO_CS2, prog, backend="fused")
-    assert _observables(lockstep) == _observables(threads)
     # prog reads comm.rank, so fused falls back to lockstep — the result
     # must be indistinguishable from a lockstep run
     assert fused.backend == "lockstep"
@@ -205,21 +203,20 @@ def plans(draw):
 @given(matlab_programs(), plans())
 def test_any_plan_is_backend_invariant(program, plan):
     """The plan changes *what* the compiler and runtime decide — never
-    the simulated machine's determinism: under any plan, lockstep,
-    threads, and fused execution agree bit-for-bit on workspace values,
+    the simulated machine's determinism: under any plan, lockstep and
+    fused execution agree bit-for-bit on workspace values,
     program output, virtual clocks, and communication accounting."""
     nprocs, src = program
     prog = compile_source(src, plan=plan)
     runs = {backend: prog.run(nprocs=nprocs, backend=backend, plan=plan)
-            for backend in ("lockstep", "threads", "fused")}
+            for backend in ("lockstep", "fused")}
     out_ref, obs_ref, ws_ref = _run_observables(runs["lockstep"])
     obs_ref.pop("results")
-    for backend in ("threads", "fused"):
-        out, obs, ws = _run_observables(runs[backend])
-        obs.pop("results")
-        assert out == out_ref, backend
-        assert obs == obs_ref, backend
-        assert ws == ws_ref, backend
+    out, obs, ws = _run_observables(runs["fused"])
+    obs.pop("results")
+    assert out == out_ref
+    assert obs == obs_ref
+    assert ws == ws_ref
 
 
 def test_backends_identical_on_mixed_fixed_program():
@@ -246,7 +243,8 @@ def test_backends_identical_on_mixed_fixed_program():
         return comm.scan(sum(parts))
 
     lockstep = run_spmd(4, MEIKO_CS2, prog, backend="lockstep")
-    threads = run_spmd(4, MEIKO_CS2, prog, backend="threads")
-    assert _observables(lockstep) == _observables(threads)
+    fused = run_spmd(4, MEIKO_CS2, prog, backend="fused")
+    assert fused.backend == "lockstep"  # prog reads comm.rank
+    assert _observables(lockstep) == _observables(fused)
     assert lockstep.collective_counts["allreduce"] == 3
     assert lockstep.collective_counts["scan"] == 1

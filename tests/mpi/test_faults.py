@@ -30,7 +30,8 @@ from repro.mpi import MEIKO_CS2, FaultPlan, load_plan, run_spmd
 from repro.mpi.faults import FaultState, corrupt_payload, payload_checksum
 from repro.mpi.scheduler import DeadlockError
 
-BACKENDS = ["lockstep", "threads"]
+#: a fused request runs every fault plan through its lockstep fallback
+BACKENDS = ["lockstep", "fused"]
 
 
 # ------------------------------------------------------------------------- #
@@ -168,7 +169,7 @@ def _fingerprint(res):
 
 
 class TestZeroFaultTransparency:
-    @pytest.mark.parametrize("backend", BACKENDS + ["fused"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_timeout_only_plan_is_bit_identical(self, backend):
         base = run_spmd(4, MEIKO_CS2, ring, backend=backend)
         chaos = run_spmd(4, MEIKO_CS2, ring, backend=backend,
@@ -357,20 +358,35 @@ class TestCrashFaults:
 
 
 class TestWatchdog:
-    def test_threads_backend_raises_instead_of_hanging(self):
-        # a cross deadlock: both ranks recv first.  The threads backend
-        # cannot detect this; only the watchdog saves CI.
-        def prog(comm):
-            got = comm.recv(source=1 - comm.rank, tag=1)
-            comm.send(comm.rank, dest=1 - comm.rank, tag=1)
-            return got
+    def test_watchdog_post_mortem_names_blocked_ranks(self, monkeypatch):
+        # rank 1 parks in a recv rank 0 never answers, and rank 0 spins
+        # holding the baton: no deadlock the scheduler could detect,
+        # only the watchdog ends the run
+        import threading
+        import time
 
-        with pytest.raises(SpmdWatchdogError) as info:
-            run_spmd(2, MEIKO_CS2, prog, backend="threads", watchdog=1.0)
+        from repro.mpi import executor
+        monkeypatch.setattr(executor, "_TEARDOWN_GRACE", 0.5)
+        release = threading.Event()
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.recv(source=1, tag=1)
+                while not release.is_set():
+                    time.sleep(0.01)
+                return None
+            comm.send(1, dest=0, tag=1)
+            return comm.recv(source=0, tag=2)
+
+        try:
+            with pytest.raises(SpmdWatchdogError) as info:
+                run_spmd(2, MEIKO_CS2, prog, backend="lockstep",
+                         watchdog=1.0)
+        finally:
+            release.set()
         assert "watchdog expired after 1s" in str(info.value)
-        # the post-mortem names both blocked ranks
-        assert "rank 0: blocked in recv" in str(info.value)
-        assert "rank 1: blocked in recv" in str(info.value)
+        assert "rank 1: blocked in recv(source=0, tag=2)" \
+            in str(info.value)
 
     def test_lockstep_detects_the_same_deadlock_first(self):
         def prog(comm):
@@ -400,7 +416,7 @@ class TestWatchdog:
 
         try:
             with pytest.raises(SpmdWatchdogError):
-                run_spmd(2, MEIKO_CS2, prog, backend="threads",
+                run_spmd(2, MEIKO_CS2, prog, backend="lockstep",
                          watchdog=0.5)
         finally:
             release.set()  # let the abandoned daemon exit quietly
@@ -409,6 +425,25 @@ class TestWatchdog:
         base = run_spmd(2, MEIKO_CS2, one_message)
         guarded = run_spmd(2, MEIKO_CS2, one_message, watchdog=30.0)
         assert _fingerprint(base) == _fingerprint(guarded)
+
+    @pytest.mark.parametrize("nprocs", [1, 2])
+    @pytest.mark.parametrize("loop", [
+        "while 1\n  s = s + 1;\nend",
+        "for i = 1:1e12\n  s = s + i;\nend",
+        "for i = ones(1, 1e7)\n  s = s + i;\nend",
+    ])
+    def test_default_backend_ends_a_scalar_infinite_loop(self, loop,
+                                                         nprocs):
+        # no op in the loop charges a clock or reaches a collective:
+        # only the loop back-edge can observe the watchdog's abort
+        import time
+
+        from repro.compiler import compile_source
+        program = compile_source(f"s = 0;\n{loop}\ndisp(s)\n")
+        t0 = time.monotonic()
+        with pytest.raises(SpmdWatchdogError, match="watchdog expired"):
+            program.run(nprocs=nprocs, watchdog=0.5)
+        assert time.monotonic() - t0 < 5.0
 
     def test_env_var_configures_the_watchdog(self, monkeypatch):
         from repro.mpi import executor

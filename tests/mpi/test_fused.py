@@ -83,6 +83,20 @@ class TestFusedComm:
         assert clocks[0] > 0
         assert clocks.tolist() == [clocks[0]] * 3
 
+    @pytest.mark.parametrize("nprocs", [1, 3])
+    def test_compute_ranks_matches_the_vector_formula(self, nprocs):
+        counts = np.arange(7, 7 + nprocs, dtype=np.int64)
+        comm = FusedComm(nprocs, MEIKO_CS2)
+        comm.compute_ranks(flops=2 * counts, elems=counts * 3,
+                           mem=counts)
+        comm.compute_ranks(elems=list(counts))
+        expected = (MEIKO_CS2.compute_time_vec(
+            flops=2 * counts, elems=counts * 3, mem=counts,
+            active_cpus=nprocs)
+            + MEIKO_CS2.compute_time_vec(elems=counts,
+                                         active_cpus=nprocs))
+        assert comm.world.clocks.tobytes() == expected.tobytes()
+
 
 # -- fallback semantics -------------------------------------------------- #
 
@@ -95,6 +109,34 @@ class TestFusionFallback:
         assert res.backend == "lockstep"
         assert res.results == [0, 1, 2]
         assert calls == [1]
+
+    def test_fallback_reports_reason_and_line(self):
+        def prog(comm):
+            comm.line = 7
+            return comm.rank
+
+        res = run_spmd(2, MEIKO_CS2, prog, backend="fused", trace=True)
+        assert res.backend == "lockstep"
+        assert res.fallback.reason == "program reads the MPI rank"
+        assert res.fallback.line == 7
+        assert str(res.fallback) == "program reads the MPI rank (line 7)"
+        assert res.trace.meta["fallback"] == {
+            "reason": "program reads the MPI rank", "line": 7}
+
+    def test_fault_plan_fallback_has_no_line(self):
+        res = run_spmd(2, MEIKO_CS2, lambda comm: comm.allreduce(1.0),
+                       backend="fused", fault_plan="seed=1; drop tag=9")
+        assert res.backend == "lockstep"
+        assert "fault injection" in res.fallback.reason
+        assert res.fallback.line == 0
+        assert str(res.fallback) == res.fallback.reason
+
+    def test_healthy_program_reports_no_fallback(self):
+        res = compile_source("v = ones(8, 1);\ns = sum(v);\n").run(
+            nprocs=4, backend="fused", trace=True)
+        assert res.spmd.backend == "fused"
+        assert res.fallback is None
+        assert "fallback" not in res.trace.meta
 
     def test_fallback_matches_pure_lockstep_run(self):
         def prog(comm):
@@ -138,7 +180,12 @@ class TestFusionFallback:
         # vector by it cannot be fused
         fused = prog.run(nprocs=3, backend="fused")
         assert fused.spmd.backend == "lockstep"
+        # the fallback names the op and the MATLAB line that diverged
+        assert fused.fallback.reason == \
+            "rank-varying scalar mixed into distributed arithmetic"
+        assert fused.fallback.line == 8
         lockstep = prog.run(nprocs=3, backend="lockstep")
+        assert lockstep.fallback is None
         assert fused.output == lockstep.output
         assert fused.output.count("42") == 1
         assert fused.workspace["total"] == lockstep.workspace["total"]
@@ -210,6 +257,17 @@ _EXAMPLES = {
         m = median(v);
         total = sum(c) + m;
         """,
+    # reshape and diag build their results in F order or as strided
+    # views; fused blocks must still see lockstep's C-ordered layout
+    "reshaped_operands": """
+        A = reshape(rand(9, 8), 8, 9);
+        B = rand(9, 5);
+        C = A * B;
+        w = A * ones(9, 1);
+        u = A' * w;
+        d = diag(A);
+        s = d' * d;
+        """,
 }
 
 
@@ -231,6 +289,39 @@ class TestCompiledEquivalence:
             a = np.asarray(lockstep.workspace[name])
             b = np.asarray(fused.workspace[name])
             assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("scheme", ["block", "cyclic"])
+    def test_matrix_product_on_uneven_blocks(self, scheme):
+        # 7 rows over 3 ranks: blocks of 3/2/2 rows (block) or strided
+        # rows (cyclic); B is gathered read-only and must survive intact
+        prog = compile_source("A = rand(7, 5);\nB = rand(5, 6);\n"
+                              "B0 = B + 0;\nC = A * B;\nD = C * C';\n")
+        runs = {backend: prog.run(nprocs=3, scheme=scheme, backend=backend)
+                for backend in ("lockstep", "fused")}
+        assert runs["fused"].spmd.backend == "fused"
+        assert runs["fused"].spmd.times == runs["lockstep"].spmd.times
+        for name in ("C", "D"):
+            assert np.asarray(runs["fused"].workspace[name]).tobytes() == \
+                np.asarray(runs["lockstep"].workspace[name]).tobytes()
+        ws = runs["fused"].workspace
+        assert np.array_equal(ws["B"], ws["B0"])
+
+    def test_rank_counts_is_a_shared_read_only_array(self):
+        seen = {}
+
+        def prog(comm):
+            rt = RuntimeContext(comm)
+            try:
+                mat = rt.call_builtin("ones", [7.0, 4.0])
+                seen["counts"] = (mat.rank_counts(), mat.rank_counts())
+            finally:
+                rt.close()
+
+        run_spmd(3, MEIKO_CS2, prog, backend="fused")
+        first, again = seen["counts"]
+        assert first is again
+        assert first.dtype == np.int64 and not first.flags.writeable
+        assert first.tolist() == [12, 8, 8]  # rows 3/2/2 times 4 cols
 
     def test_peak_local_bytes_replicated_across_ranks(self):
         prog = compile_source("a = rand(12, 12);\ns = sum(sum(a));")

@@ -16,23 +16,32 @@ from repro.mpi import (
 
 
 class TestBackendSelection:
-    def test_default_is_lockstep(self, monkeypatch):
+    def test_default_is_fused(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend() == "lockstep"
+        assert resolve_backend() == "fused"
+        res = run_spmd(2, MEIKO_CS2, lambda comm: comm.allreduce(1.0))
+        assert res.backend == "fused"
+        assert res.fallback is None
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
-        assert resolve_backend() == "threads"
-        res = run_spmd(2, MEIKO_CS2, lambda comm: comm.rank)
-        assert res.backend == "threads"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "lockstep")
+        assert resolve_backend() == "lockstep"
+        res = run_spmd(2, MEIKO_CS2, lambda comm: comm.allreduce(1.0))
+        assert res.backend == "lockstep"
+        # an explicit lockstep run is not a fallback
+        assert res.fallback is None
 
     def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
-        assert resolve_backend("lockstep") == "lockstep"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "lockstep")
+        assert resolve_backend("fused") == "fused"
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["fibers", "threads"])
+    def test_unknown_backend_rejected(self, name, monkeypatch):
         with pytest.raises(MpiError, match="unknown SPMD backend"):
-            run_spmd(2, MEIKO_CS2, lambda comm: None, backend="fibers")
+            run_spmd(2, MEIKO_CS2, lambda comm: None, backend=name)
+        monkeypatch.setenv(BACKEND_ENV_VAR, name)
+        with pytest.raises(MpiError, match="unknown SPMD backend"):
+            resolve_backend()
 
     def test_result_records_backend(self):
         for backend in BACKENDS:

@@ -320,21 +320,20 @@ e = sum(u .* u);
 def test_fused_matches_lockstep_on_compiled_program(nprocs):
     program = compile_source(_SOURCE, name="vec_acct")
     runs = {}
-    for backend in ("lockstep", "threads", "fused"):
+    for backend in ("lockstep", "fused"):
         result = program.run(nprocs=nprocs, machine=MEIKO_CS2,
                              backend=backend, trace=True)
         assert result.spmd.backend == backend  # no silent fallback
         runs[backend] = result
     base = runs["lockstep"]
-    for backend in ("threads", "fused"):
-        other = runs[backend]
-        assert other.spmd.times == base.spmd.times
-        assert other.spmd.messages_sent == base.spmd.messages_sent
-        assert other.spmd.bytes_sent == base.spmd.bytes_sent
-        assert other.spmd.collectives == base.spmd.collectives
-        assert other.spmd.collective_counts == base.spmd.collective_counts
-        assert canonical_events(other.spmd.trace) == \
-            canonical_events(base.spmd.trace)
+    other = runs["fused"]
+    assert other.spmd.times == base.spmd.times
+    assert other.spmd.messages_sent == base.spmd.messages_sent
+    assert other.spmd.bytes_sent == base.spmd.bytes_sent
+    assert other.spmd.collectives == base.spmd.collectives
+    assert other.spmd.collective_counts == base.spmd.collective_counts
+    assert canonical_events(other.spmd.trace) == \
+        canonical_events(base.spmd.trace)
     # result times are plain Python floats (JSON/serialization surface)
     assert all(type(t) is float for t in base.spmd.times)
 

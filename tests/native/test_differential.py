@@ -135,6 +135,19 @@ def test_pow_const_chains_never_diverge(args):
         _check((".^", ("+", "@0", "@1"), const), args)
 
 
+def test_sign_of_negative_zero_after_verification():
+    """numpy's sign(-0.0) is +0.0.  First-call verification cannot see a
+    kernel that gets this wrong when the first operands hold no -0.0,
+    so check a later call that does."""
+    spec = ("+", "@0", ("fn:sign", "@1"))
+    ref = spec_reference(spec)
+    assert engine.run(spec, [np.array([1.0, 2.0]), -3.0], ref) is not None
+    args = [np.array([-0.0, 1.0]), -0.0]
+    out = engine.run(spec, args, ref)
+    assert out is not None
+    assert out.tobytes() == np.asarray(ref(*args)).tobytes()
+
+
 def test_every_safe_op_engages():
     """Engagement, deterministically: every guard-free EXACT op must be
     served natively on benign finite inputs (no probe can reject it, no

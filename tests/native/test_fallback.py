@@ -84,7 +84,7 @@ def test_poisoned_cc_require_raises(poisoned):
 # program level: same bits, same virtual clock, zero warm recompiles
 # ---------------------------------------------------------------------- #
 
-BACKENDS = ("lockstep", "threads", "fused")
+BACKENDS = ("lockstep", "fused")
 
 
 def _ws_equal(a, b):

@@ -243,7 +243,7 @@ def test_get_or_compile_disk_false_skips_lookup_and_publish(tmp_path):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["lockstep", "threads", "fused"])
+@pytest.mark.parametrize("backend", ["lockstep", "fused"])
 def test_warm_run_bit_identical_to_cold(backend, tmp_path):
     root = tmp_path / "programs"
     cold_cache = CompileCache(disk_root=root)

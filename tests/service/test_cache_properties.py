@@ -27,7 +27,7 @@ components = st.fixed_dictionaries({
     "source": st.sampled_from(range(len(SOURCES))),
     "name": st.sampled_from(("script", "demo", "job")),
     "nprocs": st.sampled_from((1, 2, 4, 8)),
-    "backend": st.sampled_from((None, "lockstep", "threads", "fused")),
+    "backend": st.sampled_from((None, "lockstep", "fused")),
     "native": st.sampled_from((None, "auto", "off")),
     "plan": st.sampled_from((None, "nofuse", "cyclic")),
 })

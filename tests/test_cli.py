@@ -71,6 +71,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert "SPARCserver-20 cluster" in err and "ms modeled" in err
 
+    def test_run_time_reports_fused_fallback(self, tmp_path, capsys):
+        # uneven blocks make toc rank-varying; scaling a distributed
+        # vector by it has no fused path (line 6)
+        path = tmp_path / "diverge.m"
+        path.write_text("v = ones(5, 1);\ntic;\ns = sum(v);\nt = toc;\n"
+                        "\nv = v * t;\ndisp(sum(v) > 0);\n")
+        assert main(["run", str(path), "-n", "3", "--backend", "fused",
+                     "--time"]) == 0
+        err = capsys.readouterr().err
+        assert ("[backend] fused → lockstep: rank-varying scalar mixed "
+                "into distributed arithmetic (line 6)") in err
+
+    def test_run_time_healthy_program_has_no_backend_line(self, script,
+                                                          capsys):
+        assert main(["run", script, "-n", "4", "--time"]) == 0
+        assert "[backend]" not in capsys.readouterr().err
+
     def test_run_cyclic(self, script, capsys):
         assert main(["run", script, "--scheme", "cyclic"]) == 0
         assert "max err" in capsys.readouterr().out

@@ -97,6 +97,25 @@ class TestDirectives:
         repl = drive(["help"])
         assert "directives" in "".join(repl.output)
 
+    def test_run_reports_fused_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_SPMD_BACKEND", raising=False)
+        # toc is rank-varying on uneven blocks: scaling a distributed
+        # vector by it (line 5) cannot stay fused
+        path = tmp_path / "diverge.m"
+        path.write_text("v = ones(5, 1);\ntic;\ns = sum(v);\nt = toc;\n"
+                        "v = v * t;\n")
+        out = "".join(drive([f"run {path} 3"]).output)
+        assert "[run] 3 rank(s)" in out
+        assert ("[backend] fused → lockstep: rank-varying scalar mixed "
+                "into distributed arithmetic (line 5)") in out
+
+    def test_run_healthy_program_stays_fused(self, tmp_path):
+        path = tmp_path / "healthy.m"
+        path.write_text("v = ones(8, 1);\ndisp(sum(v));\n")
+        out = "".join(drive([f"run {path} 4"]).output)
+        assert "8" in out and "[run] 4 rank(s)" in out
+        assert "[backend]" not in out
+
 
 class TestMFiles:
     def test_functions_resolved_from_provider(self):

@@ -3,8 +3,8 @@
 For two representative workloads (heat diffusion and conjugate
 gradient) the per-source-line communication profile — and a SHA-256 of
 the full canonical event stream — is pinned to committed golden files.
-The same bytes must come out of every backend (``lockstep``,
-``threads``, ``fused``) and out of repeated runs: the trace layer rides
+The same bytes must come out of both backends (``lockstep`` and
+``fused``) and out of repeated runs: the trace layer rides
 on the repo's standing invariant that all backends produce bit-identical
 virtual clocks and communication accounting.
 
@@ -25,7 +25,7 @@ from repro.mpi import MEIKO_CS2
 from repro.native import get_engine
 from repro.trace import canonical_events, render_source_profile
 
-BACKENDS = ("lockstep", "threads", "fused")
+BACKENDS = ("lockstep", "fused")
 NPROCS = 4
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -71,8 +71,6 @@ def test_golden_trace_all_backends(key):
     source = PROGRAMS[key]
     texts = {backend: _trace_text(key, source, backend)
              for backend in BACKENDS}
-    assert texts["lockstep"] == texts["threads"], \
-        "threads backend diverged from lockstep trace"
     assert texts["lockstep"] == texts["fused"], \
         "fused backend diverged from lockstep trace"
     path = _golden_path(key)

@@ -15,7 +15,7 @@ from repro.mpi import MEIKO_CS2, run_spmd
 from repro.mpi.executor import TRACE_ENV_VAR, resolve_trace
 from repro.trace import canonical_events, chrome_trace
 
-BACKENDS = ("lockstep", "threads", "fused")
+BACKENDS = ("lockstep", "fused")
 
 
 def _mixed_program(comm):
@@ -34,7 +34,8 @@ def _mixed_program(comm):
 
 
 def _rank_dependent_program(comm):
-    """Adds point-to-point, rooted collectives, scan (lockstep/threads)."""
+    """Adds point-to-point, rooted collectives, scan (reads the rank, so
+    a fused request runs it through the lockstep fallback)."""
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
     comm.line = 2
@@ -64,7 +65,7 @@ def test_vtime_sums_to_final_clock(backend):
                                                 rel=1e-12, abs=1e-18)
 
 
-@pytest.mark.parametrize("backend", ("lockstep", "threads"))
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_profile_totals_match_world_counters(backend):
     result = run_spmd(3, MEIKO_CS2, _rank_dependent_program,
                       backend=backend, trace=True)
@@ -83,7 +84,7 @@ def test_canonical_trace_identical_across_all_backends():
     texts = {backend: canonical_events(
         run_spmd(4, MEIKO_CS2, _mixed_program, backend=backend,
                  trace=True).trace) for backend in BACKENDS}
-    assert texts["lockstep"] == texts["threads"] == texts["fused"]
+    assert texts["lockstep"] == texts["fused"]
     assert "allreduce" in texts["lockstep"]
     assert "mpi.send" not in texts["lockstep"]  # no p2p in this program
 
@@ -98,11 +99,16 @@ def test_canonical_trace_stable_across_runs():
     assert "scatter" in runs[0] and "alltoall" in runs[0]
 
 
-def test_rank_dependent_trace_identical_lockstep_vs_threads():
-    texts = [canonical_events(
-        run_spmd(3, MEIKO_CS2, _rank_dependent_program, backend=backend,
-                 trace=True).trace) for backend in ("lockstep", "threads")]
-    assert texts[0] == texts[1]
+def test_rank_dependent_trace_identical_lockstep_vs_fused():
+    runs = [run_spmd(3, MEIKO_CS2, _rank_dependent_program,
+                     backend=backend, trace=True) for backend in BACKENDS]
+    assert canonical_events(runs[0].trace) == \
+        canonical_events(runs[1].trace)
+    # the fused request fell back, and its trace meta says why
+    assert "fallback" not in runs[0].trace.meta
+    assert runs[1].trace.meta["backend"] == "lockstep"
+    assert runs[1].trace.meta["fallback"] == {
+        "reason": "program reads the MPI rank", "line": 0}
 
 
 def test_trace_off_by_default():

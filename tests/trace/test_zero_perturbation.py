@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler import compile_source
 from repro.mpi import MEIKO_CS2, run_spmd
 
-BACKENDS = ("lockstep", "threads", "fused")
+BACKENDS = ("lockstep", "fused")
 
 
 @st.composite

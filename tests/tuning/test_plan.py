@@ -200,7 +200,8 @@ def test_map_cache_configure_and_stats():
         assert stats["misses"] > before     # first run populated
         assert stats["hits"] > 0            # second run reused geometry
         assert set(stats["per_cache"]) == {
-            "get_map", "block_counts", "block_starts", "cyclic_counts"}
+            "get_map", "block_counts", "block_starts", "cyclic_counts",
+            "count_array"}
     finally:
         configure_map_cache(old)
 
