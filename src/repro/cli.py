@@ -16,12 +16,12 @@ import os
 import sys
 
 from .baselines.matcom import run_matcom
+from .config import BACKENDS, RunConfig
 from .errors import OtterError
 from .frontend.mfile import DirectoryProvider, MFileProvider
 from .frontend.parser import parse_script
 from .interp.costmodel import CostMeter
 from .interp.interpreter import Interpreter
-from .mpi.executor import BACKENDS
 from .mpi.machine import MACHINES, get_machine
 
 
@@ -120,47 +120,44 @@ def _emit_project(program, outdir: str) -> int:
     return 0
 
 
-def _resolve_trace_args(args: argparse.Namespace) -> tuple:
-    """Resolve ``--trace``/``--trace-summary``/``$REPRO_TRACE`` into
-    ``(record, out_path, summary)``.  The env value doubles as a mode:
-    ``summary`` means the stderr profile, anything else truthy is a
-    Chrome trace output path."""
-    out_path = args.trace
-    summary = args.trace_summary
-    if out_path is None and not summary:
-        raw = os.environ.get("REPRO_TRACE")
-        if raw and raw != "0":
-            if raw.lower() == "summary":
-                summary = True
-            else:
-                out_path = raw
-    return (out_path is not None or summary), out_path, summary
+def _trace_outputs(args: argparse.Namespace, config) -> tuple:
+    """Where a recorded trace goes: ``(chrome_path, summary)``.  The
+    flags win; otherwise a string ``config.trace`` (``$REPRO_TRACE``)
+    names the output: ``summary`` for the stderr profile, anything else
+    a Chrome trace path."""
+    if args.trace is not None or args.trace_summary:
+        return args.trace, args.trace_summary
+    if isinstance(config.trace, str):
+        if config.trace.lower() == "summary":
+            return None, True
+        return config.trace, False
+    return None, False
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .service.cache import get_compile_cache
 
+    tune = None
+    if args.tune or args.explain_plan:
+        tune = args.tune_budget or True
+    config = RunConfig.resolve(
+        backend=args.backend, fault_plan=args.fault_plan,
+        watchdog=args.watchdog_seconds, on_fault=args.on_fault,
+        max_restarts=args.max_restarts,
+        checkpoint_every=args.checkpoint_every,
+        trace=args.trace or args.trace_summary or None,
+        tune=tune, native=args.native)
     machine = get_machine(args.machine)
     outcome = get_compile_cache().get_or_compile(
         _read(args.file), name=_name_of(args.file),
         provider=_provider_for(args.file, args.path),
         plan=_cli_plan(args), nprocs=args.nprocs, machine=machine,
-        backend=args.backend, native=args.native)
+        backend=config.backend, native=config.native)
     program = outcome.program
-    record, trace_path, trace_summary = _resolve_trace_args(args)
-    tune = True if (args.tune or args.explain_plan) else None
+    trace_path, trace_summary = _trace_outputs(args, config)
     result = program.run(nprocs=args.nprocs, machine=machine,
                          seed=args.seed, scheme=args.scheme,
-                         cache_gathers=args.cache_gathers,
-                         backend=args.backend,
-                         fault_plan=args.fault_plan,
-                         watchdog=args.watchdog_seconds,
-                         on_fault=args.on_fault,
-                         max_restarts=args.max_restarts,
-                         checkpoint_every=args.checkpoint_every,
-                         trace=record or None,
-                         tune=tune, tune_budget=args.tune_budget,
-                         native=args.native)
+                         cache_gathers=args.cache_gathers, config=config)
     sys.stdout.write(result.output)
     if result.tune is not None and (args.explain_plan or not trace_summary):
         print(result.tune.report() if args.explain_plan else

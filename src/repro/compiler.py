@@ -28,6 +28,7 @@ from typing import Any, Optional
 
 from .analysis.infer import ProgramTypes, infer_types
 from .analysis.resolve import ResolvedProgram, resolve_program
+from .config import RunConfig
 from .frontend.mfile import EMPTY_PROVIDER, MFileProvider
 from .frontend.parser import parse_script
 from .ir.guard import guard_program
@@ -162,77 +163,54 @@ class CompiledProgram:
 
     def run(self, nprocs: int = 1, machine: MachineModel | None = None,
             seed: int = 0, scheme: str = "block",
-            cache_gathers: bool = False,
-            backend: str | None = None,
-            fault_plan=None,
-            watchdog: float | None = None,
-            trace: bool | None = None,
-            on_fault: str | None = None,
-            max_restarts: int | None = None,
-            checkpoint_every: int | None = None,
-            plan=None,
-            tune: bool | None = None,
+            cache_gathers: bool = False, plan=None, stores=None,
+            config: RunConfig | None = None,
             tune_budget: int | None = None,
-            native: str | None = None,
-            stores=None) -> RunResult:
+            **overrides) -> RunResult:
         """Execute on ``nprocs`` simulated ranks of ``machine``.
 
-        ``backend`` picks the SPMD execution backend (``"fused"`` or
-        ``"lockstep"``); ``None`` defers to ``REPRO_SPMD_BACKEND`` / the
-        fused default — see :func:`repro.mpi.executor.run_spmd`.  A fused
-        run that has to fall back to lockstep says why on
-        ``RunResult.fallback``.  ``fault_plan`` and
-        ``watchdog`` pass straight through to ``run_spmd`` (chaos
-        injection and the host-wall-clock safety net; see
-        docs/RESILIENCE.md).  ``trace`` records a deterministic
-        :class:`~repro.trace.WorldTrace`, surfaced on
-        ``RunResult.trace`` (default ``$REPRO_TRACE``; see
-        docs/OBSERVABILITY.md).  ``on_fault`` selects the self-healing
-        policy for faulted runs (``"abort"``/``"retry"``/
-        ``"restart"``/``"degrade"``; ``None`` defers to
-        ``$REPRO_ON_FAULT`` then ``abort``), with ``max_restarts`` and
-        ``checkpoint_every`` tuning the restart budget and checkpoint
-        cadence; the recovery report lands on ``RunResult.recovery``
-        (see docs/RESILIENCE.md).
+        ``config`` is the run's :class:`~repro.config.RunConfig` (resolved
+        from the environment when omitted); keyword ``overrides`` named
+        after its fields (``backend=``, ``trace=``, ``tune=``,
+        ``native=``, ...) take precedence.  ``tune_budget`` sets the
+        candidate budget of ``tune=True``.  A fused run that had to fall
+        back to lockstep says why on ``RunResult.fallback``; the trace,
+        recovery report, plan-search report and native-kernel activity
+        land on ``RunResult.trace``/``recovery``/``tune``/``native``.
 
         ``plan`` applies a :class:`repro.tuning.Plan`'s *runtime* knobs
         (distribution, collective algorithms, gather caching) — the
         compile-side knobs must have been applied at ``compile`` time
-        (see :func:`compile_cached`).  ``tune=True`` (or ``REPRO_TUNE``
-        when ``tune is None``) first searches the plan space on the
-        fused backend, then runs the winner here; the search report
-        lands on ``RunResult.tune`` (see docs/TUNING.md).
-
-        ``native`` selects the JIT kernel tier (``"auto"``/``"off"``/
-        ``"require"``); ``None`` defers to the plan's ``native`` axis,
-        then ``$REPRO_NATIVE``, then ``auto`` — see docs/NATIVE.md.
-        Kernel activity lands on ``RunResult.native``.
+        (see :func:`compile_cached`).
 
         ``stores`` is a :class:`repro.service.StoreManager` for
         URL-schema ``load``/``save`` targets (``file://``, ``mem://``,
         ``s3://``); ``None`` uses the process-wide default manager —
         see docs/SERVICE.md.
         """
-        from .mpi.executor import resolve_tune
-        from .mpi.machine import MEIKO_CS2
-
-        budget = resolve_tune(tune, tune_budget)
-        if budget:
+        if tune_budget and overrides.get("tune"):
+            overrides["tune"] = tune_budget
+        cfg = RunConfig.resolve(config, **overrides)
+        if cfg.tune:
             from .tuning import tune_program
 
             tuned = tune_program(self.source or "", nprocs=nprocs,
-                                 machine=machine, budget=budget,
+                                 machine=machine, budget=cfg.tune,
                                  provider=self.provider, seed=seed,
-                                 name=self.name)
-            result = tuned.best_program.run(
-                nprocs=nprocs, machine=machine, seed=seed,
-                backend=backend, fault_plan=fault_plan, watchdog=watchdog,
-                trace=trace, on_fault=on_fault, max_restarts=max_restarts,
-                checkpoint_every=checkpoint_every,
-                plan=tuned.best.plan, tune=False,
-                native=native, stores=stores)
+                                 name=self.name, config=cfg)
+            result = tuned.best_program._execute(
+                cfg, nprocs, machine, seed, scheme, cache_gathers,
+                tuned.best.plan, stores)
             result.tune = tuned
             return result
+        return self._execute(cfg, nprocs, machine, seed, scheme,
+                             cache_gathers, plan, stores)
+
+    def _execute(self, cfg: RunConfig, nprocs: int,
+                 machine: MachineModel | None, seed: int, scheme: str,
+                 cache_gathers: bool, plan, stores) -> RunResult:
+        from .mpi.machine import MEIKO_CS2
+        from .native import resolve_native
 
         plan = plan if plan is not None else self.plan
         if plan is not None:
@@ -248,16 +226,7 @@ class CompiledProgram:
         output: list[str] = []
         provider = self.provider
 
-        import os as _os
-
-        from .native import ENV_NATIVE, resolve_native
-
-        native_mode = native
-        if native_mode is None and plan is not None \
-                and getattr(plan, "native", "auto") != "auto":
-            native_mode = plan.native
-        engine = resolve_native(native_mode)
-        native_mode = native_mode or _os.environ.get(ENV_NATIVE) or "auto"
+        engine = resolve_native(cfg.native)
         stats_before = engine.stats.snapshot() if engine is not None else None
 
         peaks: dict[int, int] = {}
@@ -294,12 +263,8 @@ class CompiledProgram:
             output.clear()
             peaks.clear()
 
-        spmd = run_spmd(nprocs, machine, rank_main, backend=backend,
-                        on_fused_fallback=discard_partial_fused,
-                        fault_plan=fault_plan, watchdog=watchdog,
-                        trace=trace, on_fault=on_fault,
-                        max_restarts=max_restarts,
-                        checkpoint_every=checkpoint_every)
+        spmd = run_spmd(nprocs, machine, rank_main, config=cfg,
+                        on_fused_fallback=discard_partial_fused)
         if spmd.backend == "fused":
             # one pass stood in for all ranks: its (rank-0-modeled) peak
             # applies to every rank's local share estimate
@@ -311,7 +276,7 @@ class CompiledProgram:
         if engine is not None:
             after = engine.stats.snapshot()
             native_report = {k: after[k] - stats_before[k] for k in after}
-            native_report["mode"] = native_mode
+            native_report["mode"] = cfg.native
         return RunResult(workspace=workspace, output="".join(output),
                          elapsed=spmd.elapsed, spmd=spmd,
                          peak_local_bytes=[peaks.get(r, 0)

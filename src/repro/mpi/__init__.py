@@ -38,30 +38,21 @@ from ..errors import (
     RankCrashedError,
     SpmdWatchdogError,
 )
+from ..config import BACKENDS
 from .executor import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    FAULT_PLAN_ENV_VAR,
     FusedFallback,
     SpmdResult,
-    WATCHDOG_ENV_VAR,
     resolve_backend,
-    resolve_fault_plan,
-    resolve_watchdog,
     run_spmd,
 )
 from .faults import FaultPlan, FaultRule, load_plan
 from .fused import FusedComm, PerRankScalar
 from .recovery import (
-    CHECKPOINT_EVERY_ENV_VAR,
     Checkpoint,
     CheckpointStore,
-    MAX_RESTARTS_ENV_VAR,
-    ON_FAULT_ENV_VAR,
     ON_FAULT_POLICIES,
     RecoveryPolicy,
     RecoveryReport,
-    resolve_recovery,
 )
 from .machine import (
     CpuModel,
@@ -82,16 +73,14 @@ __all__ = [
     "SUM", "PROD", "MAX", "MIN", "LAND", "LOR",
     "Datatype", "DOUBLE", "FLOAT", "INT", "LONG", "CHAR",
     "DOUBLE_COMPLEX", "BYTE", "sizeof",
-    "SpmdResult", "FusedFallback", "run_spmd", "BACKENDS", "BACKEND_ENV_VAR",
-    "resolve_backend", "LockstepScheduler", "DeadlockError", "MpiError",
+    "SpmdResult", "FusedFallback", "run_spmd", "BACKENDS", "resolve_backend",
+    "LockstepScheduler", "DeadlockError", "MpiError",
     "FusedComm", "PerRankScalar", "FusionDivergence",
-    "FaultPlan", "FaultRule", "load_plan", "resolve_fault_plan",
-    "resolve_watchdog", "FAULT_PLAN_ENV_VAR", "WATCHDOG_ENV_VAR",
+    "FaultPlan", "FaultRule", "load_plan",
     "MpiTimeoutError", "SpmdWatchdogError", "MpiCorruptionError",
     "RankCrashedError", "MpiRetryExhaustedError",
     "RecoveryPolicy", "RecoveryReport", "Checkpoint", "CheckpointStore",
-    "resolve_recovery", "ON_FAULT_POLICIES", "ON_FAULT_ENV_VAR",
-    "MAX_RESTARTS_ENV_VAR", "CHECKPOINT_EVERY_ENV_VAR",
+    "ON_FAULT_POLICIES",
     "CpuModel", "Link", "MachineModel", "MACHINES",
     "MEIKO_CS2", "SUN_ENTERPRISE", "SPARC20_CLUSTER",
     "FATTREE_CLUSTER", "GPU_CLUSTER", "get_machine",

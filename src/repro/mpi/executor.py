@@ -6,8 +6,8 @@ one carrier thread per rank and hands each a
 :class:`~repro.mpi.comm.Comm`; a failure on one rank aborts the world so
 peers blocked in ``recv``/collectives unwind instead of deadlocking.
 
-Two backends execute the rank programs (``backend=`` argument, or the
-``REPRO_SPMD_BACKEND`` environment variable; default ``fused``):
+Two backends execute the rank programs (the ``backend`` field of
+:class:`~repro.config.RunConfig`; default ``fused``):
 
 ``fused`` (default)
     Rank fusion: the program runs **once** with a
@@ -31,7 +31,7 @@ Two backends execute the rank programs (``backend=`` argument, or the
     graph) instead of hanging.  It is the fused backend's fallback and
     the oracle the differential tests compare it against.
 
-Self-healing (``on_fault=`` / ``$REPRO_ON_FAULT``; see
+Self-healing (``RunConfig.on_fault``; see
 :mod:`repro.mpi.recovery` and docs/RESILIENCE.md): with a non-abort
 policy, a faulted run retries dropped/corrupted messages at the comm
 layer, and — under ``restart``/``degrade`` — replays terminal faults
@@ -45,119 +45,32 @@ restart attempt draw down the same allowance.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Optional
 
+from ..config import RunConfig
 from ..errors import FusionDivergence, MpiCorruptionError, MpiError, \
     MpiTimeoutError, RankCrashedError, SpmdWatchdogError
 from .comm import Comm, World, _Abort
-from .faults import FaultPlan, FaultState, load_plan
+from .faults import FaultPlan, FaultState
 from .fused import FusedComm
 from .machine import MachineModel
-from .recovery import ActiveRecovery, RecoveryReport, resolve_recovery
+from .recovery import ActiveRecovery, RecoveryReport
 from .scheduler import DeadlockError, LockstepScheduler
-
-BACKENDS = ("lockstep", "fused")
-
-#: environment override for the default backend (used by the CI matrix
-#: to run the whole suite under lockstep as well)
-BACKEND_ENV_VAR = "REPRO_SPMD_BACKEND"
-
-#: environment default for the chaos fault plan (inline spec or a path)
-FAULT_PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
-
-#: environment default for the host-wall-clock watchdog (seconds)
-WATCHDOG_ENV_VAR = "REPRO_WATCHDOG_SECONDS"
-
-#: environment default for trace recording (any non-empty value except
-#: "0" enables it; the CLI additionally interprets the value — see
-#: docs/OBSERVABILITY.md)
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-#: environment default for plan autotuning ("0"/"" off, "1"/other truthy
-#: on with the default candidate budget, an integer sets the budget)
-TUNE_ENV_VAR = "REPRO_TUNE"
-
-#: candidate budget used when tuning is enabled without an explicit one
-DEFAULT_TUNE_BUDGET = 64
 
 #: after an abort, give wedged carrier threads this long to unwind
 #: before abandoning them (they are daemons; the process stays healthy)
 _TEARDOWN_GRACE = 5.0
 
+#: the keyword arguments ``run_spmd`` treats as config overrides
+_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
+
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick the SPMD backend: explicit argument > environment > default."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "fused"
-    if backend not in BACKENDS:
-        raise MpiError(
-            f"unknown SPMD backend {backend!r} (expected one of "
-            f"{', '.join(BACKENDS)})")
-    return backend
-
-
-def resolve_fault_plan(fault_plan=None) -> Optional[FaultPlan]:
-    """Pick the chaos plan: explicit argument > $REPRO_FAULT_PLAN > none.
-
-    Accepts a :class:`FaultPlan`, an inline spec string, or a path."""
-    if fault_plan is not None:
-        return load_plan(fault_plan)
-    return load_plan(os.environ.get(FAULT_PLAN_ENV_VAR))
-
-
-def resolve_trace(trace: Optional[bool] = None) -> bool:
-    """Decide whether to record a trace: argument > $REPRO_TRACE > off."""
-    if trace is not None:
-        return bool(trace)
-    raw = os.environ.get(TRACE_ENV_VAR)
-    return bool(raw) and raw != "0"
-
-
-def resolve_tune(tune: Optional[bool] = None,
-                 budget: Optional[int] = None) -> Optional[int]:
-    """Decide the autotuning candidate budget (None: tuning off).
-
-    ``tune=True`` enables with ``budget`` (or the default);
-    ``tune=False`` disables regardless of the environment;
-    ``tune=None`` consults ``$REPRO_TUNE``.
-    """
-    if tune is False:
-        return None
-    if tune:
-        return int(budget) if budget else DEFAULT_TUNE_BUDGET
-    raw = os.environ.get(TUNE_ENV_VAR, "")
-    if not raw or raw == "0":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return int(budget) if budget else DEFAULT_TUNE_BUDGET
-    if value <= 0:
-        return None
-    return value
-
-
-def resolve_watchdog(watchdog: Optional[float] = None) -> Optional[float]:
-    """Pick the host-wall-clock watchdog: argument > environment > off."""
-    if watchdog is not None:
-        value = float(watchdog)
-    else:
-        raw = os.environ.get(WATCHDOG_ENV_VAR)
-        if not raw:
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            raise MpiError(
-                f"{WATCHDOG_ENV_VAR} must be a number of seconds "
-                f"(got {raw!r})") from None
-    if value <= 0:
-        raise MpiError(f"watchdog must be positive (got {value:g}s)")
-    return value
+    """The resolved SPMD backend (a delegate to :meth:`RunConfig.resolve`)."""
+    return RunConfig.resolve(backend=backend).backend
 
 
 @dataclass(frozen=True)
@@ -383,45 +296,26 @@ def _run_attempt(nprocs: int, machine: MachineModel, fn: Callable,
 
 def run_spmd(nprocs: int, machine: MachineModel,
              fn: Callable[..., Any], *args: Any,
-             backend: Optional[str] = None,
+             config: Optional[RunConfig] = None,
              on_fused_fallback: Optional[Callable[[], Any]] = None,
-             fault_plan=None,
-             watchdog: Optional[float] = None,
-             trace: Optional[bool] = None,
-             on_fault: Optional[str] = None,
-             max_restarts: Optional[int] = None,
-             checkpoint_every: Optional[int] = None,
              **kwargs: Any) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
+
+    ``config`` is the resolved :class:`~repro.config.RunConfig`; keyword
+    arguments named after its fields (``backend=``, ``fault_plan=``,
+    ``watchdog=``, ``trace=``, ``on_fault=``, ...) override it and are
+    not passed to ``fn``.  The recorded trace (``SpmdResult.trace``)
+    carries the config in ``meta["config"]``.
 
     ``on_fused_fallback`` is invoked (if given) when a ``fused`` run
     diverges, *before* the lockstep re-run — and again before each
     recovery restart attempt — callers use it to discard any partial
     side effects the aborted pass left behind.
-
-    ``fault_plan`` (a :class:`~repro.mpi.faults.FaultPlan`, inline spec
-    string, or path; default ``$REPRO_FAULT_PLAN``) injects a
-    deterministic chaos schedule.  ``watchdog`` (seconds, default
-    ``$REPRO_WATCHDOG_SECONDS``) aborts the run with a structured
-    :class:`~repro.errors.SpmdWatchdogError` if it exceeds that much
-    *host* wall-clock time; one budget covers the fused attempt, any
-    lockstep fallback, and every restart.  See docs/RESILIENCE.md.
-
-    ``on_fault`` / ``max_restarts`` / ``checkpoint_every`` (defaults
-    ``$REPRO_ON_FAULT`` / ``$REPRO_MAX_RESTARTS`` /
-    ``$REPRO_CHECKPOINT_EVERY``) select the self-healing policy; the
-    default ``"abort"`` reproduces the historical fail-fast behavior
-    exactly.  See :mod:`repro.mpi.recovery`.
-
-    ``trace`` (default ``$REPRO_TRACE``) records a deterministic
-    :class:`~repro.trace.WorldTrace` of the run, returned on
-    ``SpmdResult.trace``.  See docs/OBSERVABILITY.md.
     """
-    backend = resolve_backend(backend)
-    plan = resolve_fault_plan(fault_plan)
-    watchdog = resolve_watchdog(watchdog)
-    tracing = resolve_trace(trace)
-    policy = resolve_recovery(on_fault, max_restarts, checkpoint_every)
+    cfg = RunConfig.resolve(config, **{
+        name: kwargs.pop(name) for name in _CONFIG_FIELDS & kwargs.keys()})
+    backend, plan, watchdog = cfg.backend, cfg.fault_plan, cfg.watchdog
+    policy = cfg.recovery
     recovery: Optional[ActiveRecovery] = None
     if policy.active and plan is not None:
         # without a plan there is nothing injectable to heal — the
@@ -447,11 +341,11 @@ def run_spmd(nprocs: int, machine: MachineModel,
 
         wt = WorldTrace(nprocs)
         wt.meta.update(backend=backend, machine=machine.name,
-                       nprocs=nprocs)
+                       nprocs=nprocs, config=cfg.as_meta())
         return wt
 
     if backend == "fused":
-        world_trace = new_trace() if tracing else None
+        world_trace = new_trace() if cfg.trace else None
         timer: Optional[threading.Timer] = None
         comm: Optional[FusedComm] = None
         try:
@@ -480,16 +374,14 @@ def run_spmd(nprocs: int, machine: MachineModel,
                     on_fused_fallback()
                 remaining = budget_left("the lockstep re-run")
                 spmd = run_spmd(nprocs, machine, fn, *args,
-                                backend="lockstep",
+                                config=replace(cfg, backend="lockstep",
+                                               watchdog=remaining),
                                 on_fused_fallback=on_fused_fallback,
-                                fault_plan=plan, watchdog=remaining,
-                                trace=tracing, on_fault=policy.on_fault,
-                                max_restarts=policy.max_restarts,
-                                checkpoint_every=policy.checkpoint_every,
                                 **kwargs)
                 spmd.fallback = fallback
                 if spmd.trace is not None:
-                    spmd.trace.meta["fallback"] = asdict(fallback)
+                    spmd.trace.meta.update(fallback=asdict(fallback),
+                                           config=cfg.as_meta())
                 return spmd
             except MpiError:
                 raise  # substrate diagnostics keep their structured type
@@ -529,7 +421,7 @@ def run_spmd(nprocs: int, machine: MachineModel,
         attempt_no = recovery.attempt if recovery is not None else 0
         budget = budget_left(f"execution attempt {attempt_no}") \
             if deadline is not None else None
-        world_trace = new_trace() if tracing else None
+        world_trace = new_trace() if cfg.trace else None
         if recovery is not None:
             recovery.stamp_pending(world_trace)
         start_base = recovery.start_base if recovery is not None else 0.0

@@ -52,29 +52,18 @@ docs/RESILIENCE.md.
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..config import DEFAULT_MAX_RESTARTS
 from ..errors import MpiError
 from .faults import _hash01
 
 #: the four degradation policies, in increasing order of self-healing
 ON_FAULT_POLICIES = ("abort", "retry", "restart", "degrade")
 
-#: environment default for the degradation policy
-ON_FAULT_ENV_VAR = "REPRO_ON_FAULT"
-
-#: environment default for the restart budget
-MAX_RESTARTS_ENV_VAR = "REPRO_MAX_RESTARTS"
-
-#: environment default for the checkpoint cadence (collectives)
-CHECKPOINT_EVERY_ENV_VAR = "REPRO_CHECKPOINT_EVERY"
-
-DEFAULT_MAX_RESTARTS = 2
 DEFAULT_MAX_RETRIES = 8
 
 
@@ -96,7 +85,6 @@ class RecoveryPolicy:
     checkpoint_every: Optional[int] = None
     max_retries: int = DEFAULT_MAX_RETRIES
     rto_factor: float = 4.0
-    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.on_fault not in ON_FAULT_POLICIES:
@@ -133,35 +121,6 @@ class RecoveryPolicy:
     @property
     def degrade(self) -> bool:
         return self.on_fault == "degrade"
-
-
-def resolve_recovery(on_fault: Optional[str] = None,
-                     max_restarts: Optional[int] = None,
-                     checkpoint_every: Optional[int] = None,
-                     checkpoint_dir: Optional[str] = None) -> RecoveryPolicy:
-    """Build the policy: explicit arguments > environment > defaults."""
-    if on_fault is None:
-        on_fault = os.environ.get(ON_FAULT_ENV_VAR) or "abort"
-    if max_restarts is None:
-        raw = os.environ.get(MAX_RESTARTS_ENV_VAR)
-        max_restarts = _env_int(raw, MAX_RESTARTS_ENV_VAR) \
-            if raw else DEFAULT_MAX_RESTARTS
-    if checkpoint_every is None:
-        raw = os.environ.get(CHECKPOINT_EVERY_ENV_VAR)
-        checkpoint_every = _env_int(raw, CHECKPOINT_EVERY_ENV_VAR) \
-            if raw else None
-    return RecoveryPolicy(on_fault=on_fault,
-                          max_restarts=int(max_restarts),
-                          checkpoint_every=checkpoint_every,
-                          checkpoint_dir=checkpoint_dir)
-
-
-def _env_int(raw: str, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise MpiError(
-            f"{what} must be an integer (got {raw!r})") from None
 
 
 def retry_backoff(seed: int, rank: int, seq: int, attempt: int,
@@ -219,17 +178,14 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """In-memory (optionally on-disk) store of :class:`Checkpoint`\\ s.
+    """In-memory store of :class:`Checkpoint`\\ s.
 
-    ``directory`` persists each snapshot as ``ckpt-NNN.pkl`` so a
-    post-mortem can inspect what the run would have restarted from.
     Payload providers are per-rank callables registered by runtime
     layers that own state the world cannot see (RNG streams, memory
     watermarks); they are invoked at snapshot time."""
 
-    def __init__(self, directory: Optional[str] = None):
+    def __init__(self):
         self.checkpoints: list[Checkpoint] = []
-        self.directory = directory
         self._providers: dict[int, Callable[[], Any]] = {}
 
     def register_payload(self, rank: int,
@@ -274,19 +230,7 @@ class CheckpointStore:
             payloads=payloads,
         )
         self.checkpoints.append(ck)
-        if self.directory is not None:
-            self._persist(ck)
         return ck
-
-    def _persist(self, ck: Checkpoint) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory, f"ckpt-{ck.index:03d}.pkl")
-        try:
-            with open(path, "wb") as fh:
-                pickle.dump(ck, fh)
-        except (OSError, pickle.PicklingError) as exc:
-            raise MpiError(
-                f"checkpoint store: cannot write {path!r}: {exc}") from None
 
 
 # ------------------------------------------------------------------------- #
@@ -363,7 +307,7 @@ class ActiveRecovery:
         self.policy = policy
         self.nprocs = nprocs
         self.seed = seed
-        self.store = CheckpointStore(policy.checkpoint_dir)
+        self.store = CheckpointStore()
         self.report = RecoveryReport(policy)
         self.attempt = 0
         self.start_base = 0.0

@@ -11,7 +11,7 @@ counts, and byte counts the paper's figures are built on are charged
 identically whether a chain runs natively or through numpy; the golden
 trace suite pins that.
 
-Modes (``--native`` / ``$REPRO_NATIVE``):
+Modes (``RunConfig.native``; see :mod:`repro.config`):
 
 ``auto``     (default) use the tier when cffi + a C compiler exist,
              silently fall back otherwise — and per-kernel on
@@ -20,9 +20,9 @@ Modes (``--native`` / ``$REPRO_NATIVE``):
 ``require``  raise :class:`NativeUnavailableError` if the toolchain is
              missing (CI uses this to prove the tier actually engaged).
 
-Environment: ``REPRO_NATIVE`` (mode), ``REPRO_NATIVE_CC`` (compiler
-override, authoritative), ``REPRO_KERNEL_CACHE`` (cache directory,
-default ``~/.cache/repro-kernels``).
+Environment: ``REPRO_NATIVE_CC`` (compiler override, authoritative),
+``REPRO_KERNEL_CACHE`` (cache directory, default
+``~/.cache/repro-kernels``).
 """
 
 from __future__ import annotations
@@ -31,16 +31,13 @@ import os
 import threading
 from typing import Optional
 
+from ..config import NATIVE_MODES
 from ..errors import OtterError
 from .cache import ENV_CACHE_DIR, KernelCache, KernelCompileError
 from .codegen import ABI_VERSION, UnsupportedSpecError, generate_source, \
     spec_key
 from .engine import ENV_CC, NativeEngine, NativeStats, find_compiler
 from .ops import OPS, spec_reference
-
-ENV_NATIVE = "REPRO_NATIVE"
-
-NATIVE_MODES = ("auto", "off", "require")
 
 
 class NativeUnavailableError(OtterError):
@@ -74,17 +71,8 @@ def reset_engines() -> None:
         _engines.clear()
 
 
-def resolve_native(mode: Optional[str] = None) -> Optional[NativeEngine]:
-    """Resolve a native mode to an engine (or ``None`` = numpy only).
-
-    Precedence mirrors the other runtime knobs: explicit argument over
-    ``$REPRO_NATIVE`` over the ``auto`` default.
-    """
-    if mode is None:
-        mode = os.environ.get(ENV_NATIVE) or "auto"
-    if mode not in NATIVE_MODES:
-        raise ValueError(
-            f"native mode must be one of {NATIVE_MODES}, got {mode!r}")
+def resolve_native(mode: str) -> Optional[NativeEngine]:
+    """The engine for a resolved native mode (``None`` = numpy only)."""
     if mode == "off":
         return None
     engine = get_engine()
@@ -101,7 +89,6 @@ __all__ = [
     "ABI_VERSION",
     "ENV_CACHE_DIR",
     "ENV_CC",
-    "ENV_NATIVE",
     "KernelCache",
     "KernelCompileError",
     "NATIVE_MODES",

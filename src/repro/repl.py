@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .analysis.resolve import resolve_program
+from .config import RunConfig
 from .errors import OtterError
 from .frontend.mfile import EMPTY_PROVIDER, MFileProvider
 from .frontend.parser import parse_script
@@ -189,11 +190,13 @@ class Repl:
             return
         name = os.path.splitext(os.path.basename(path))[0]
         try:
+            config = RunConfig.resolve()
             outcome = get_compile_cache().get_or_compile(
                 source, name=name, provider=self.provider,
-                nprocs=nprocs, machine=machine)
+                nprocs=nprocs, machine=machine, backend=config.backend,
+                native=config.native)
             result = outcome.program.run(nprocs=nprocs, machine=machine,
-                                         seed=self.seed)
+                                         seed=self.seed, config=config)
         except OtterError as exc:
             self._out(f"??? {exc}\n")
             return

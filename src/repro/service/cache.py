@@ -10,8 +10,8 @@ configuration:
   sources, directory providers hash their search paths (plus a per-use
   dependency validator, below);
 * the **plan** (full :class:`repro.tuning.Plan` content hash), the
-  **machine model** fingerprint, **nprocs**, **backend**, and the
-  **native** kernel mode.
+  **machine model** fingerprint, **nprocs**, and the resolved
+  **backend** and **native** kernel mode (:mod:`repro.config`).
 
 Two tiers:
 
@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from ..compiler import CompiledProgram, compile_source
+from ..config import RunConfig
 from ..frontend.mfile import (
     ChainProvider,
     DictProvider,
@@ -63,7 +64,7 @@ ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 
 #: bump when the cached-payload layout or the emitted-code ABI changes —
 #: stale major versions on disk are simply never looked up
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 _OFF_VALUES = ("0", "off", "none", "disabled")
 
@@ -266,7 +267,10 @@ class CompileCache:
             plan=None, nprocs: Optional[int] = None, machine=None,
             backend: Optional[str] = None, native: Optional[str] = None,
             key_plan=None) -> str:
-        """The request key: sha256 over every cache-relevant component."""
+        """The request key: sha256 over every cache-relevant component.
+        ``backend`` and ``native`` key by their resolved values, so an
+        omitted knob and its explicit default share one key."""
+        run = RunConfig.resolve(backend=backend, native=native)
         canon = self._canonical(source)
         provider_fp, _disk_ok = provider_fingerprint(provider)
         blob = json.dumps({
@@ -277,8 +281,8 @@ class CompileCache:
             "plan": self._plan_component(plan, key_plan),
             "nprocs": nprocs,
             "machine": machine_fingerprint(machine),
-            "backend": backend or "-",
-            "native": native or "-",
+            "backend": run.backend,
+            "native": run.native,
         }, sort_keys=True)
         return _sha(blob)
 

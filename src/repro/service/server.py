@@ -47,6 +47,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import OtterError
 from .cache import CompileCache, plan_from_dict
 from .stores import StoreManager, default_manager
@@ -249,6 +250,9 @@ class ServiceServer:
         if not isinstance(nprocs, int) or nprocs < 1:
             raise OtterError(f"nprocs must be a positive int "
                              f"(got {nprocs!r})")
+        if "native" in (request.get("plan") or {}):
+            raise OtterError("'plan' has no 'native' field; set the "
+                             "request's top-level 'native' instead")
         provider = None
         mfiles = request.get("mfiles")
         if mfiles:
@@ -265,22 +269,25 @@ class ServiceServer:
             "plan": plan_from_dict(request.get("plan")),
             "nprocs": nprocs,
             "machine": get_machine(machine_name),
-            "backend": request.get("backend"),
-            "native": request.get("native"),
+            "config": RunConfig.resolve(
+                backend=request.get("backend"),
+                native=request.get("native"),
+                watchdog=request.get("watchdog"),
+                trace=request.get("trace") or None),
         }
 
     def _op_compile(self, request: dict, session_id: int) -> dict:
-        response, _cfg, _outcome = self._compile_common(request, session_id)
+        response, _req, _outcome = self._compile_common(request, session_id)
         return response
 
     def _compile_common(self, request: dict, session_id: int):
         with self._lock:
             self.counters["compiles_requested"] += 1
-        cfg = self._compile_config(request)
+        req = self._compile_config(request)
         outcome = self.cache.get_or_compile(
-            cfg["source"], name=cfg["name"], provider=cfg["provider"],
-            plan=cfg["plan"], nprocs=cfg["nprocs"], machine=cfg["machine"],
-            backend=cfg["backend"], native=cfg["native"])
+            req["source"], name=req["name"], provider=req["provider"],
+            plan=req["plan"], nprocs=req["nprocs"], machine=req["machine"],
+            backend=req["config"].backend, native=req["config"].native)
         program = outcome.program
         return {
             "ok": True, "op": "compile", "session": session_id,
@@ -291,22 +298,18 @@ class ServiceServer:
                          program.peephole_stats.transpose_fused,
                          "cse_removed": program.peephole_stats.cse_removed},
             "licm_hoisted": program.licm_stats.hoisted,
-        }, cfg, outcome
+        }, req, outcome
 
     def _op_run(self, request: dict, session_id: int,
                 force_trace: bool) -> dict:
-        compile_response, cfg, outcome = \
+        compile_response, req, outcome = \
             self._compile_common(request, session_id)
-        trace = bool(request.get("trace")) or force_trace
         result = outcome.program.run(
-            nprocs=cfg["nprocs"], machine=cfg["machine"],
+            nprocs=req["nprocs"], machine=req["machine"],
             seed=int(request.get("seed", 0)),
             scheme=request.get("scheme", "block"),
             cache_gathers=bool(request.get("cache_gathers", False)),
-            backend=cfg["backend"],
-            watchdog=request.get("watchdog"),
-            trace=trace or None,
-            native=cfg["native"],
+            config=req["config"], trace=force_trace or None,
             stores=self.stores)
         with self._lock:
             self.counters["runs"] += 1
@@ -336,8 +339,8 @@ class ServiceServer:
                 from ..trace import pass_report
 
                 summary["profile"] = render_source_profile(
-                    result.trace.line_profile(), cfg["source"],
-                    filename=cfg["name"], elapsed=result.elapsed)
+                    result.trace.line_profile(), req["source"],
+                    filename=req["name"], elapsed=result.elapsed)
                 summary["pass_report"] = pass_report(
                     outcome.passes, native=result.native,
                     cache=outcome.describe())

@@ -9,7 +9,7 @@ running it on the fused backend with the final virtual clock as the
 objective (:mod:`~repro.tuning.search`).
 
 Entry points: :func:`tune_program` (programmatic),
-``run_spmd(..., tune=True)`` / ``REPRO_TUNE=<budget>`` /
+``CompiledProgram.run(..., tune=True)`` / ``REPRO_TUNE=<budget>`` /
 ``repro run --tune --explain-plan`` (wired through the compiler).
 """
 
@@ -21,7 +21,6 @@ from .plan import (
     GATHER_ALGOS,
     GUARD_PLACEMENTS,
     LICM_POLICIES,
-    NATIVE_MODES,
     SCHEMES,
     Plan,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "GATHER_ALGOS",
     "GUARD_PLACEMENTS",
     "LICM_POLICIES",
-    "NATIVE_MODES",
     "Plan",
     "SCHEMES",
     "TuneResult",

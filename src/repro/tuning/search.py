@@ -25,6 +25,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..compiler import compile_cache_stats, compile_cached
+from ..config import RunConfig
 from ..mpi.machine import MEIKO_CS2, MachineModel
 from .memo import eval_key, eval_lookup, eval_memo_stats, eval_store
 from .plan import DEFAULT_PLAN, Plan
@@ -169,14 +170,20 @@ def _numerics_match(ref: dict, got: dict) -> bool:
 def tune_program(source: str, nprocs: int = 4,
                  machine: MachineModel | None = None,
                  budget: int = 64, provider=None, seed: int = 0,
-                 name: str = "script") -> TuneResult:
+                 name: str = "script",
+                 config: RunConfig | None = None) -> TuneResult:
     """Search the plan space for ``source`` and return the full report.
 
     Every candidate (including candidate 0, the default plan) is costed
     by a fused-backend run; the winner is the valid candidate with the
-    smallest final virtual clock.
+    smallest final virtual clock.  Candidate runs use an explicit
+    ``RunConfig(backend="fused")`` that keeps only the caller's
+    ``config.native`` — they never trace, inject faults, or read the
+    environment.
     """
     machine = machine or MEIKO_CS2
+    candidate_config = RunConfig(
+        backend="fused", native=config.native if config else "auto")
     budget = max(int(budget), 1)
     t0 = time.perf_counter()
     src_hash = hashlib.sha256(source.encode("utf-8")).hexdigest()
@@ -196,7 +203,7 @@ def tune_program(source: str, nprocs: int = 4,
         try:
             program = compile_cached(source, provider, name=name, plan=plan)
             run = program.run(nprocs=nprocs, machine=machine, seed=seed,
-                              backend="fused", plan=plan, tune=False)
+                              plan=plan, config=candidate_config)
             observed = _observed(run)
             counts = dict(run.spmd.collective_counts)
             valid = reference is None or _numerics_match(reference, observed)

@@ -445,17 +445,6 @@ class TestWatchdog:
             program.run(nprocs=nprocs, watchdog=0.5)
         assert time.monotonic() - t0 < 5.0
 
-    def test_env_var_configures_the_watchdog(self, monkeypatch):
-        from repro.mpi import executor
-        monkeypatch.setenv(executor.WATCHDOG_ENV_VAR, "not-a-number")
-        with pytest.raises(MpiError, match="number of seconds"):
-            executor.resolve_watchdog()
-        monkeypatch.setenv(executor.WATCHDOG_ENV_VAR, "-3")
-        with pytest.raises(MpiError, match="positive"):
-            executor.resolve_watchdog()
-        monkeypatch.setenv(executor.WATCHDOG_ENV_VAR, "2.5")
-        assert executor.resolve_watchdog() == 2.5
-
 
 class TestAbortPropagation:
     """A rank raising mid-collective must surface *its* error (with the

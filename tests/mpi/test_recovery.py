@@ -16,7 +16,6 @@ No test here may rely on host waits longer than 30 s; the watchdog
 tests use ~1 s budgets.
 """
 
-import pickle
 import threading
 import time
 
@@ -33,12 +32,8 @@ from repro.errors import (
 )
 from repro.mpi import MEIKO_CS2, run_spmd
 from repro.mpi.recovery import (
-    CHECKPOINT_EVERY_ENV_VAR,
-    MAX_RESTARTS_ENV_VAR,
-    ON_FAULT_ENV_VAR,
     CheckpointStore,
     RecoveryPolicy,
-    resolve_recovery,
     retry_backoff,
 )
 
@@ -74,36 +69,11 @@ def _clocks(result):
 
 
 # ------------------------------------------------------------------------- #
-# policy resolution
+# policy validation (resolution: tests/test_config.py)
 # ------------------------------------------------------------------------- #
 
 
 class TestPolicyResolution:
-    def test_default_is_abort_and_inactive(self, monkeypatch):
-        monkeypatch.delenv(ON_FAULT_ENV_VAR, raising=False)
-        policy = resolve_recovery()
-        assert policy.on_fault == "abort"
-        assert not policy.active
-        assert not policy.restarts_enabled and not policy.degrade
-
-    def test_arguments_beat_environment(self, monkeypatch):
-        monkeypatch.setenv(ON_FAULT_ENV_VAR, "degrade")
-        monkeypatch.setenv(MAX_RESTARTS_ENV_VAR, "7")
-        monkeypatch.setenv(CHECKPOINT_EVERY_ENV_VAR, "9")
-        policy = resolve_recovery(on_fault="retry", max_restarts=1,
-                                  checkpoint_every=2)
-        assert (policy.on_fault, policy.max_restarts,
-                policy.checkpoint_every) == ("retry", 1, 2)
-
-    def test_environment_beats_defaults(self, monkeypatch):
-        monkeypatch.setenv(ON_FAULT_ENV_VAR, "restart")
-        monkeypatch.setenv(MAX_RESTARTS_ENV_VAR, "5")
-        monkeypatch.setenv(CHECKPOINT_EVERY_ENV_VAR, "3")
-        policy = resolve_recovery()
-        assert (policy.on_fault, policy.max_restarts,
-                policy.checkpoint_every) == ("restart", 5, 3)
-        assert policy.active and policy.restarts_enabled
-
     def test_unknown_policy_is_actionable(self):
         with pytest.raises(MpiError, match="unknown on_fault.*abort"):
             RecoveryPolicy(on_fault="panic")
@@ -117,11 +87,6 @@ class TestPolicyResolution:
     def test_rejects_bad_knobs(self, kwargs, match):
         with pytest.raises(MpiError, match=match):
             RecoveryPolicy(**kwargs)
-
-    def test_non_integer_environment_is_actionable(self, monkeypatch):
-        monkeypatch.setenv(MAX_RESTARTS_ENV_VAR, "many")
-        with pytest.raises(MpiError, match="must be an integer"):
-            resolve_recovery(on_fault="restart")
 
     def test_run_spmd_rejects_unknown_policy_eagerly(self):
         with pytest.raises(MpiError, match="unknown on_fault"):
@@ -344,15 +309,6 @@ class TestCheckpointStore:
         ck = store.take(world, vtime=2.0, attempt=1)
         assert store.last_for_attempt(1) is ck
         assert store.last is ck
-
-    def test_on_disk_checkpoints_are_inspectable(self, tmp_path):
-        store = CheckpointStore(directory=str(tmp_path))
-        store.take(self._world(), vtime=1.5, attempt=0)
-        path = tmp_path / "ckpt-000.pkl"
-        assert path.exists()
-        with open(path, "rb") as fh:
-            ck = pickle.load(fh)
-        assert ck.vtime == 1.5
 
     def test_runtime_context_contributes_rng_state(self):
         from repro.mpi.comm import Comm, World

@@ -4,44 +4,36 @@ detection, and the MPI_Test semantics of ``Request.test()``."""
 import numpy as np
 import pytest
 
+from repro.config import ENV_VARS
 from repro.mpi import (
-    BACKEND_ENV_VAR,
     BACKENDS,
     MEIKO_CS2,
     DeadlockError,
     MpiError,
-    resolve_backend,
     run_spmd,
 )
+
+BACKEND_ENV_VAR = ENV_VARS["backend"]
 
 
 class TestBackendSelection:
     def test_default_is_fused(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend() == "fused"
         res = run_spmd(2, MEIKO_CS2, lambda comm: comm.allreduce(1.0))
         assert res.backend == "fused"
         assert res.fallback is None
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "lockstep")
-        assert resolve_backend() == "lockstep"
         res = run_spmd(2, MEIKO_CS2, lambda comm: comm.allreduce(1.0))
         assert res.backend == "lockstep"
         # an explicit lockstep run is not a fallback
         assert res.fallback is None
 
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "lockstep")
-        assert resolve_backend("fused") == "fused"
-
     @pytest.mark.parametrize("name", ["fibers", "threads"])
-    def test_unknown_backend_rejected(self, name, monkeypatch):
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(MpiError, match="unknown SPMD backend"):
             run_spmd(2, MEIKO_CS2, lambda comm: None, backend=name)
-        monkeypatch.setenv(BACKEND_ENV_VAR, name)
-        with pytest.raises(MpiError, match="unknown SPMD backend"):
-            resolve_backend()
 
     def test_result_records_backend(self):
         for backend in BACKENDS:

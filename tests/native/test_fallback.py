@@ -11,7 +11,6 @@ from repro.compiler import compile_source
 from repro.mpi import MEIKO_CS2
 from repro.native import (
     ENV_CC,
-    ENV_NATIVE,
     NativeUnavailableError,
     find_compiler,
     get_engine,
@@ -29,21 +28,6 @@ HAVE_NATIVE = find_compiler() is not None and get_engine().available
 
 def test_off_mode_resolves_to_none():
     assert resolve_native("off") is None
-
-
-def test_env_off_resolves_to_none(monkeypatch):
-    monkeypatch.setenv(ENV_NATIVE, "off")
-    assert resolve_native() is None
-
-
-def test_explicit_mode_beats_env(monkeypatch):
-    monkeypatch.setenv(ENV_NATIVE, "require")
-    assert resolve_native("off") is None
-
-
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError, match="native mode"):
-        resolve_native("fast")
 
 
 @pytest.mark.skipif(not HAVE_NATIVE, reason="native tier unavailable")

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.config import ENV_VARS
 from repro.frontend.mfile import DictProvider, DirectoryProvider
 from repro.mpi.machine import MEIKO_CS2, get_machine
 from repro.service.cache import (
@@ -60,7 +61,9 @@ def test_key_is_whitespace_insensitive():
     assert cache.key(SRC) == cache.key(SRC_WS)
 
 
-def test_key_differs_on_every_component():
+def test_key_differs_on_every_component(monkeypatch):
+    for var in ENV_VARS.values():
+        monkeypatch.delenv(var, raising=False)
     cache = CompileCache(disk_root=False)
     base = dict(name="script", provider=None, plan=None, nprocs=4,
                 machine=MEIKO_CS2, backend=None, native=None)
@@ -71,13 +74,16 @@ def test_key_differs_on_every_component():
         dict(base, plan=Plan(fusion=())),
         dict(base, nprocs=8),
         dict(base, machine=get_machine("cluster")),
-        dict(base, backend="fused"),
+        dict(base, backend="lockstep"),
         dict(base, native="off"),
     ]
     keys = [cache.key(SRC, **v) for v in variants] + [cache.key(SRC_B, **base)]
     for key in keys:
         assert key != reference
     assert len(set(keys)) == len(keys)
+    # None and the explicit default give the same key
+    assert cache.key(SRC, **dict(base, backend="fused",
+                                 native="auto")) == reference
 
 
 # ---------------------------------------------------------------------- #

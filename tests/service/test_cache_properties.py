@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the compile-cache key contract.
 
 The contract (docs/SERVICE.md): requests differing in any cache-relevant
-component never share a key; requests differing only in layout/comments
+component (backend and native by resolved value) never share a key; requests differing only in layout/comments
 always do; an identical repeat is a hit that executes zero compiler
 passes and whose run is bit-identical to the cold one.
 """
@@ -10,6 +10,7 @@ import hashlib
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import RunConfig
 from repro.mpi.machine import MEIKO_CS2
 from repro.service.cache import CompileCache
 from repro.trace import canonical_events, pass_report
@@ -42,12 +43,19 @@ def _key(cache: CompileCache, c: dict) -> str:
                      native=c["native"])
 
 
+def _resolved(c: dict) -> dict:
+    """The components as the key sees them: backend and native resolved
+    (an omitted knob and its explicit default are one request)."""
+    config = RunConfig.resolve(backend=c["backend"], native=c["native"])
+    return dict(c, backend=config.backend, native=config.native)
+
+
 @given(a=components, b=components)
 @settings(max_examples=150, deadline=None)
 def test_distinct_components_never_collide(a, b):
     cache = CompileCache(disk_root=False)
     ka, kb = _key(cache, a), _key(cache, b)
-    if a == b:
+    if _resolved(a) == _resolved(b):
         assert ka == kb
     else:
         assert ka != kb

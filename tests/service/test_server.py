@@ -136,6 +136,14 @@ def test_missing_source_and_bad_nprocs(client):
     assert client.ping()["pong"]
 
 
+def test_plan_native_points_at_the_request_field(client):
+    with pytest.raises(ServiceError) as err:
+        client.run(SRC, nprocs=2, plan={"scheme": "block", "native": "off"})
+    assert err.value.kind == "OtterError"
+    assert "top-level 'native'" in str(err.value)
+    assert client.run(SRC, nprocs=2, native="off")["output"].strip() == "64"
+
+
 def test_compile_diagnostics_carry_their_type(client):
     with pytest.raises(ServiceError) as err:
         client.run("x = undefined_fn(3);\n", nprocs=2)

@@ -88,6 +88,30 @@ class TestRun:
         assert main(["run", script, "-n", "4", "--time"]) == 0
         assert "[backend]" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,env", [
+        (["--trace-summary"], None),
+        ([], "summary"),
+        (["--trace", "{out}"], None),
+        ([], "{out}"),
+        (["--trace", "{out}", "--trace-summary"], None),
+    ])
+    def test_trace_outputs_from_flags_or_env(self, script, tmp_path,
+                                             capsys, monkeypatch,
+                                             flags, env):
+        out = str(tmp_path / "t.json")
+        if env is not None:
+            monkeypatch.setenv("REPRO_TRACE", env.format(out=out))
+        else:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)
+        assert main(["run", script, "-n", "2"]
+                    + [f.format(out=out) for f in flags]) == 0
+        err = capsys.readouterr().err
+        wants_file = "{out}" in flags or env == "{out}"
+        wants_summary = "--trace-summary" in flags or env == "summary"
+        assert os.path.exists(out) == wants_file
+        assert ("[trace] wrote" in err) == wants_file
+        assert ("time(ms)" in err) == wants_summary
+
     def test_run_cyclic(self, script, capsys):
         assert main(["run", script, "--scheme", "cyclic"]) == 0
         assert "max err" in capsys.readouterr().out

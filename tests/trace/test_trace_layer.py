@@ -7,12 +7,14 @@ each rank's final clock, profile totals match the world counters, and
 the canonical serialization is bit-stable across runs and backends.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.compiler import compile_source
+from repro.config import ENV_VARS
 from repro.mpi import MEIKO_CS2, run_spmd
-from repro.mpi.executor import TRACE_ENV_VAR, resolve_trace
 from repro.trace import canonical_events, chrome_trace
 
 BACKENDS = ("lockstep", "fused")
@@ -109,6 +111,10 @@ def test_rank_dependent_trace_identical_lockstep_vs_fused():
     assert runs[1].trace.meta["backend"] == "lockstep"
     assert runs[1].trace.meta["fallback"] == {
         "reason": "program reads the MPI rank", "line": 0}
+    # the stamped config is the one requested, not the fallback's
+    assert runs[0].trace.meta["config"]["backend"] == "lockstep"
+    assert runs[1].trace.meta["config"]["backend"] == "fused"
+    assert runs[1].trace.meta["config"]["trace"] is True
 
 
 def test_trace_off_by_default():
@@ -116,24 +122,12 @@ def test_trace_off_by_default():
     assert result.trace is None
 
 
-def test_resolve_trace_env(monkeypatch):
-    monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
-    assert resolve_trace() is False
-    assert resolve_trace(True) is True
-    monkeypatch.setenv(TRACE_ENV_VAR, "1")
-    assert resolve_trace() is True
-    assert resolve_trace(False) is False  # explicit argument wins
-    monkeypatch.setenv(TRACE_ENV_VAR, "0")
-    assert resolve_trace() is False
-    monkeypatch.setenv(TRACE_ENV_VAR, "summary")
-    assert resolve_trace() is True
-
-
 def test_trace_env_enables_recording(monkeypatch):
-    monkeypatch.setenv(TRACE_ENV_VAR, "summary")
+    monkeypatch.setenv(ENV_VARS["trace"], "summary")
     result = run_spmd(2, MEIKO_CS2, _mixed_program)
     assert result.trace is not None
     assert result.trace.meta["backend"] in BACKENDS
+    assert result.trace.meta["config"]["trace"] == "summary"
 
 
 def test_suspension_hides_instrumentation(monkeypatch):
@@ -182,6 +176,11 @@ def test_chrome_trace_schema():
     doc = chrome_trace(result.trace, pass_timings=[("parse", 0.001)])
     events = doc["traceEvents"]
     assert doc["otterMeta"]["backend"] == "lockstep"
+    assert doc["otterMeta"]["config"] == result.trace.meta["config"]
+    assert set(doc["otterMeta"]["config"]) == {
+        "backend", "fault_plan", "watchdog", "trace", "tune", "on_fault",
+        "max_restarts", "checkpoint_every", "native"}
+    json.dumps(doc["otterMeta"])                 # JSON-ready as stamped
     assert any(e.get("ph") == "M" for e in events)          # metadata
     spans = [e for e in events if e.get("ph") == "X" and e["pid"] == 1]
     assert spans and all(e["ts"] >= 0 and e["dur"] >= 0 for e in spans)

@@ -166,6 +166,28 @@ def test_run_with_tune_returns_tuned_result():
     assert result.spmd.elapsed <= result.tune.default.cost + 1e-12
 
 
+def test_tuned_run_traces_only_the_winner(monkeypatch):
+    from repro.config import ENV_VARS
+    from repro.trace import WorldTrace
+    from repro.tuning import clear_eval_memo
+
+    built = []
+    init = WorldTrace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorldTrace, "__init__", counting_init)
+    monkeypatch.setenv(ENV_VARS["trace"], "1")
+    clear_eval_memo()                    # every candidate really runs
+    result = compile_source(MATVEC_SRC).run(nprocs=4, tune=True,
+                                            tune_budget=8)
+    assert len(result.tune.candidates) > 1
+    assert built == [result.trace]
+    assert result.trace.meta["config"]["tune"] == 8
+
+
 # -- topology-aware axes (modern machine profiles) ------------------------- #
 
 
