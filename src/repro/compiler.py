@@ -165,15 +165,15 @@ class CompiledProgram:
             seed: int = 0, scheme: str = "block",
             cache_gathers: bool = False, plan=None, stores=None,
             config: RunConfig | None = None,
-            tune_budget: int | None = None,
             **overrides) -> RunResult:
         """Execute on ``nprocs`` simulated ranks of ``machine``.
 
         ``config`` is the run's :class:`~repro.config.RunConfig` (resolved
         from the environment when omitted); keyword ``overrides`` named
         after its fields (``backend=``, ``trace=``, ``tune=``,
-        ``native=``, ...) take precedence.  ``tune_budget`` sets the
-        candidate budget of ``tune=True``.  A fused run that had to fall
+        ``native=``, ...) take precedence.  ``tune=N`` searches ``N``
+        plan candidates (``tune=True``: the default budget) and runs the
+        winner under its own plan.  A fused run that had to fall
         back to lockstep says why on ``RunResult.fallback``; the trace,
         recovery report, plan-search report and native-kernel activity
         land on ``RunResult.trace``/``recovery``/``tune``/``native``.
@@ -188,8 +188,6 @@ class CompiledProgram:
         ``s3://``); ``None`` uses the process-wide default manager —
         see docs/SERVICE.md.
         """
-        if tune_budget and overrides.get("tune"):
-            overrides["tune"] = tune_budget
         cfg = RunConfig.resolve(config, **overrides)
         if cfg.tune:
             from .tuning import tune_program
@@ -198,8 +196,10 @@ class CompiledProgram:
                                  machine=machine, budget=cfg.tune,
                                  provider=self.provider, seed=seed,
                                  name=self.name, config=cfg)
+            # the winner runs exactly as the tuner measured it: its plan
+            # alone sets the distribution and gather caching
             result = tuned.best_program._execute(
-                cfg, nprocs, machine, seed, scheme, cache_gathers,
+                cfg, nprocs, machine, seed, "block", False,
                 tuned.best.plan, stores)
             result.tune = tuned
             return result

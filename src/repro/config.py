@@ -6,19 +6,9 @@ default — and the frozen result then travels unchanged through the
 compiler, the SPMD launcher, the autotuner, the CLI, the REPL, and the
 server.  This module is the only code that reads these nine variables.
 
-=================  =====================  ======================  =======
-field              CLI flag               environment             default
-=================  =====================  ======================  =======
-backend            --backend              REPRO_SPMD_BACKEND      fused
-fault_plan         --fault-plan           REPRO_FAULT_PLAN        none
-watchdog           --watchdog-seconds     REPRO_WATCHDOG_SECONDS  off
-trace              --trace/-summary       REPRO_TRACE             off
-tune               --tune, --tune-budget  REPRO_TUNE              off
-on_fault           --on-fault             REPRO_ON_FAULT          abort
-max_restarts       --max-restarts         REPRO_MAX_RESTARTS      2
-checkpoint_every   --checkpoint-every     REPRO_CHECKPOINT_EVERY  off
-native             --native               REPRO_NATIVE            auto
-=================  =====================  ======================  =======
+The knob table (field, CLI flag, environment variable, default) is in
+docs/INTERNALS.md; :data:`ENV_VARS` and the :class:`RunConfig` field
+defaults are its source of truth.
 
 ``backend`` is ``fused`` or ``lockstep`` (:mod:`repro.mpi.executor`).
 ``fault_plan`` is a :class:`~repro.mpi.faults.FaultPlan`, given as a
@@ -121,9 +111,21 @@ def _parse(name: str, value, label: str):
     return value if parser is None else parser(value, label)
 
 
+def resolve_field(name: str, value: Any = None) -> Any:
+    """One field's args > env > default step, parsed.  Reads only that
+    field's variable, so a caller that needs one knob (the compile-cache
+    key) is not failed by a bad value in another."""
+    if value is not None:
+        return _parse(name, value, name)
+    raw = os.environ.get(ENV_VARS[name])
+    if raw:
+        return _parse(name, raw, ENV_VARS[name])
+    return getattr(RunConfig, name)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """The resolved per-run knobs (see the module docstring's table).
+    """The resolved per-run knobs (docs/INTERNALS.md has the table).
 
     Construct directly for an explicit, environment-free configuration
     (the autotuner's candidate runs do); use :meth:`resolve` everywhere a
@@ -158,16 +160,14 @@ class RunConfig:
         """Apply args > env > defaults.  ``overrides`` are field values
         (``None`` means "not given"); with an already-resolved
         ``config`` the environment is not consulted again."""
-        given = {name: _parse(name, value, name)
-                 for name, value in overrides.items() if value is not None}
+        given = {name: value for name, value in overrides.items()
+                 if value is not None}
         if config is not None:
-            return replace(config, **given) if given else config
-        for name, var in ENV_VARS.items():
-            if name not in given:
-                raw = os.environ.get(var)
-                if raw:
-                    given[name] = _parse(name, raw, var)
-        return cls(**given)
+            return replace(config, **{
+                name: _parse(name, value, name)
+                for name, value in given.items()}) if given else config
+        return cls(**{name: resolve_field(name, given.get(name))
+                      for name in ENV_VARS.keys() | given.keys()})
 
     @property
     def recovery(self) -> RecoveryPolicy:

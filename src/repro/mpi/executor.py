@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from ..config import RunConfig
@@ -64,8 +64,10 @@ from .scheduler import DeadlockError, LockstepScheduler
 #: before abandoning them (they are daemons; the process stays healthy)
 _TEARDOWN_GRACE = 5.0
 
-#: the keyword arguments ``run_spmd`` treats as config overrides
-_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
+#: the config fields ``run_spmd`` uses, and so takes as keyword overrides;
+#: ``tune`` and ``native`` are not among them and pass through to ``fn``
+_CONFIG_FIELDS = frozenset(("backend", "fault_plan", "watchdog", "trace",
+                            "on_fault", "max_restarts", "checkpoint_every"))
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -302,9 +304,10 @@ def run_spmd(nprocs: int, machine: MachineModel,
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
 
     ``config`` is the resolved :class:`~repro.config.RunConfig`; keyword
-    arguments named after its fields (``backend=``, ``fault_plan=``,
-    ``watchdog=``, ``trace=``, ``on_fault=``, ...) override it and are
-    not passed to ``fn``.  The recorded trace (``SpmdResult.trace``)
+    arguments named after the fields it uses (``backend=``,
+    ``fault_plan=``, ``watchdog=``, ``trace=``, ``on_fault=``,
+    ``max_restarts=``, ``checkpoint_every=``) override it and are not
+    passed to ``fn``.  The recorded trace (``SpmdResult.trace``)
     carries the config in ``meta["config"]``.
 
     ``on_fused_fallback`` is invoked (if given) when a ``fused`` run

@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from ..compiler import CompiledProgram, compile_source
-from ..config import RunConfig
+from ..config import resolve_field
 from ..frontend.mfile import (
     ChainProvider,
     DictProvider,
@@ -270,7 +270,6 @@ class CompileCache:
         """The request key: sha256 over every cache-relevant component.
         ``backend`` and ``native`` key by their resolved values, so an
         omitted knob and its explicit default share one key."""
-        run = RunConfig.resolve(backend=backend, native=native)
         canon = self._canonical(source)
         provider_fp, _disk_ok = provider_fingerprint(provider)
         blob = json.dumps({
@@ -281,8 +280,8 @@ class CompileCache:
             "plan": self._plan_component(plan, key_plan),
             "nprocs": nprocs,
             "machine": machine_fingerprint(machine),
-            "backend": run.backend,
-            "native": run.native,
+            "backend": resolve_field("backend", backend),
+            "native": resolve_field("native", native),
         }, sort_keys=True)
         return _sha(blob)
 

@@ -178,8 +178,8 @@ def tune_program(source: str, nprocs: int = 4,
     by a fused-backend run; the winner is the valid candidate with the
     smallest final virtual clock.  Candidate runs use an explicit
     ``RunConfig(backend="fused")`` that keeps only the caller's
-    ``config.native`` — they never trace, inject faults, or read the
-    environment.
+    ``config.native`` — they never trace or inject faults, and no
+    ``REPRO_*`` run variable changes how a candidate runs.
     """
     machine = machine or MEIKO_CS2
     candidate_config = RunConfig(

@@ -86,6 +86,19 @@ def test_key_differs_on_every_component(monkeypatch):
                                  native="auto")) == reference
 
 
+def test_key_ignores_unrelated_bad_run_variables(monkeypatch):
+    for var in ENV_VARS.values():
+        monkeypatch.delenv(var, raising=False)
+    cache = CompileCache(disk_root=False)
+    reference = cache.key(SRC)
+    monkeypatch.setenv(ENV_VARS["watchdog"], "abc")
+    monkeypatch.setenv(ENV_VARS["max_restarts"], "x")
+    monkeypatch.setenv(ENV_VARS["fault_plan"], "explode rank=0")
+    assert cache.key(SRC) == reference
+    monkeypatch.setenv(ENV_VARS["backend"], "lockstep")
+    assert cache.key(SRC) != reference
+
+
 # ---------------------------------------------------------------------- #
 # memory tier
 # ---------------------------------------------------------------------- #

@@ -133,6 +133,15 @@ def test_resolve_backend_delegates(clean_env):
     assert resolve_backend("fused") == "fused"
 
 
+def test_run_spmd_passes_unused_fields_to_fn(clean_env):
+    from repro.mpi import MEIKO_CS2, run_spmd
+
+    spmd = run_spmd(2, MEIKO_CS2, lambda comm, **kw: kw, tune=True,
+                    native="off", trace=True)
+    assert spmd.results[0] == {"tune": True, "native": "off"}
+    assert spmd.trace is not None
+
+
 # ---------------------------------------------------------------------- #
 # structural gate
 # ---------------------------------------------------------------------- #

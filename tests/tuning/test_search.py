@@ -158,12 +158,25 @@ def test_alignment_classes_group_interacting_names():
 
 def test_run_with_tune_returns_tuned_result():
     program = compile_source(MATVEC_SRC)
-    result = program.run(nprocs=4, backend="fused", tune=True,
-                         tune_budget=8)
+    result = program.run(nprocs=4, backend="fused", tune=8)
     assert result.tune is not None
     assert len(result.tune.candidates) <= 8
     # the run itself executed under the winning plan
     assert result.spmd.elapsed <= result.tune.default.cost + 1e-12
+
+
+def test_tuned_run_ignores_caller_gather_caching():
+    # repeated gathers of one matrix: caching changes the modeled time
+    src = "n = 16;\na = rand(n, n);\nb = a';\nc = a(:, 3);\nd = a(2, :);\n"
+    program = compile_source(src)
+    assert (program.run(nprocs=4, cache_gathers=True).spmd.elapsed
+            < program.run(nprocs=4).spmd.elapsed)
+    # a one-candidate search picks the default plan (no gather caching);
+    # the winner must run exactly as the tuner measured it
+    plain = program.run(nprocs=4, tune=1)
+    cached = program.run(nprocs=4, tune=1, cache_gathers=True)
+    assert not cached.tune.best.plan.cache_gathers
+    assert cached.spmd.elapsed == plain.spmd.elapsed == cached.tune.best.cost
 
 
 def test_tuned_run_traces_only_the_winner(monkeypatch):
@@ -181,8 +194,7 @@ def test_tuned_run_traces_only_the_winner(monkeypatch):
     monkeypatch.setattr(WorldTrace, "__init__", counting_init)
     monkeypatch.setenv(ENV_VARS["trace"], "1")
     clear_eval_memo()                    # every candidate really runs
-    result = compile_source(MATVEC_SRC).run(nprocs=4, tune=True,
-                                            tune_budget=8)
+    result = compile_source(MATVEC_SRC).run(nprocs=4, tune=8)
     assert len(result.tune.candidates) > 1
     assert built == [result.trace]
     assert result.trace.meta["config"]["tune"] == 8
